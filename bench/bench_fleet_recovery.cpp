@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The fleet fault-tolerance acceptance bench, two halves:
+// The single-server fault-tolerance acceptance bench, two halves:
 //
 //   restart     a compile service with a persisted cache dir is killed
 //               without ceremony (no drain snapshot — journal-only, the

@@ -21,10 +21,6 @@
 //   --beam K              driver beam width (1 = greedy; see ursa_cc)
 //   --portfolio           race phase orderings, keep the best allocation
 //   --deadline MS         per-request deadline (queue + compile)
-//   --client NAME         client identity for the router's fair queueing
-//                         and quotas (ignored by plain backends)
-//   --stall MS            per-request round stall (server test hook; only
-//                         honored by servers started with --test-hooks)
 //   --window N            max requests in flight (default 16)
 //   --retries N           transport-failure budget: how many times the
 //                         batch may reconnect and resume (default 0)
@@ -43,19 +39,15 @@
 // id; output is printed in input order and is bit-identical to running
 // `ursa_cc FILE ...` per file, at any worker count.
 //
-// Fault tolerance: a shed response is retried with backoff; a
-// busy_retry_later response (a router momentarily out of backends) is
-// resent after a short fixed delay on a separate, larger budget — fleet
-// congestion is not the client's fault and must not eat its shed
-// budget. On a
-// transport failure the batch re-queues every file the server provably
-// never started — unsent files always; in-flight files only when the
-// connection closed cleanly before their responses (a draining server
-// flushes responses for admitted work first) — reconnects with backoff
-// while the --retries budget lasts, and resumes. Files lost to an
-// indeterminate failure (reset mid-frame) are never replayed
-// (at-most-once); they are reported in a per-file failure table on
-// stderr and the exit status is nonzero.
+// Fault tolerance: a shed file is resent after a 10 ms pause, up to 100
+// sheds per batch. On a transport failure the batch re-queues every file
+// the server provably never started — unsent files always; in-flight
+// files only when the connection closed cleanly before their responses
+// (a draining server flushes responses for admitted work first) —
+// reconnects with backoff while the --retries budget lasts, and resumes.
+// Files lost to an indeterminate failure (reset mid-frame) are never
+// replayed (at-most-once); they are reported in a per-file failure table
+// on stderr and the exit status is nonzero.
 //
 //===----------------------------------------------------------------------===//
 
@@ -147,10 +139,6 @@ int main(int Argc, char **Argv) {
       Proto.Portfolio = true;
     } else if (A == "--deadline" && (S = Next())) {
       Proto.DeadlineMs = unsigned(std::atoi(S));
-    } else if (A == "--client" && (S = Next())) {
-      Proto.Client = S;
-    } else if (A == "--stall" && (S = Next())) {
-      Proto.StallMs = unsigned(std::atoi(S));
     } else if (A == "--window" && (S = Next()) && std::atoi(S) > 0) {
       Window = unsigned(std::atoi(S));
     } else if (A == "--retries" && (S = Next())) {
@@ -221,7 +209,6 @@ int main(int Argc, char **Argv) {
   unsigned ReconnectsLeft = Retries;
   unsigned ReconnectRound = 0;
   unsigned ShedRetries = 0;
-  unsigned BusyRetries = 0;
 
   auto FailFile = [&](size_t I, const std::string &Why) {
     State[I] = FileState::Failed;
@@ -338,20 +325,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     DropInFlight(InFlight, I);
-    if (Resp.Status == ServiceResponse::StatusKind::Busy) {
-      // Fleet-side congestion (the router found no backend): provably
-      // unstarted, so resend freely — on its own budget, not the shed
-      // one, and with a short fixed delay (backoff would stretch a
-      // failover window into a stall).
-      if (++BusyRetries > 1000) {
-        FailFile(I, "fleet busy repeatedly, giving up");
-        continue;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      State[I] = FileState::Unsent;
-      Pending.push_back(I);
-      continue;
-    }
     if (Resp.Status == ServiceResponse::StatusKind::Shed) {
       // Momentary backpressure: ease off and resend this file.
       if (++ShedRetries > 100) {

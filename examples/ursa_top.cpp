@@ -23,11 +23,6 @@
 // poll, and the latency histograms' p50/p90/p99/max. With --flight the
 // span timelines of the slowest requests are reconstructed beneath.
 //
-// Pointed at a ursa_router, the document carries a `fleet` section
-// (docs/SERVICE.md §11) and two extra tables appear: per-backend state
-// (up/down, forwards, ejections, last health) and per-client fair-queue
-// standing (weight, quota, queued, admitted, refused).
-//
 //===----------------------------------------------------------------------===//
 
 #include "obs/Json.h"
@@ -179,55 +174,6 @@ int main(int Argc, char **Argv) {
                     fmtUs(num(H.find("max_us")))});
       }
       Tbl.print(std::cout);
-      std::cout.flush();
-    }
-
-    if (const obs::JsonValue *Fleet = Doc.find("fleet");
-        Fleet && Fleet->isObject()) {
-      std::printf("\nfleet: %u/%u backends up   router: %u forwarded, "
-                  "%u failovers, %u busy, %u shed\n",
-                  unsigned(num(Fleet->find("backends_up"))),
-                  unsigned(num(Fleet->find("backends_total"))),
-                  unsigned(num(at(*Fleet, "router", "completed"))),
-                  unsigned(num(at(*Fleet, "router", "failovers"))),
-                  unsigned(num(at(*Fleet, "router", "busy_answers"))),
-                  unsigned(num(at(*Fleet, "router", "shed_quota")) +
-                           num(at(*Fleet, "router", "shed_share")) +
-                           num(at(*Fleet, "router", "shed_displaced"))));
-      if (const obs::JsonValue *Bs = Fleet->find("backends");
-          Bs && Bs->isArray() && !Bs->Arr.empty()) {
-        Table Tbl({"backend", "state", "forwarded", "ejections", "readmits",
-                   "health"});
-        for (const obs::JsonValue &B : Bs->Arr) {
-          const obs::JsonValue *Name = B.find("name");
-          const obs::JsonValue *Up = B.find("up");
-          const obs::JsonValue *LH = B.find("last_health");
-          Tbl.addRow({Name && Name->isString() ? Name->Str : "?",
-                      Up && Up->B ? "up" : "DOWN",
-                      std::to_string(uint64_t(num(B.find("forwarded")))),
-                      std::to_string(uint64_t(num(B.find("ejections")))),
-                      std::to_string(uint64_t(num(B.find("readmissions")))),
-                      LH && LH->isString() && !LH->Str.empty() ? LH->Str
-                                                               : "?"});
-        }
-        Tbl.print(std::cout);
-      }
-      if (const obs::JsonValue *Cs = Fleet->find("clients");
-          Cs && Cs->isArray() && !Cs->Arr.empty()) {
-        Table Tbl({"client", "weight", "quota", "queued", "admitted",
-                   "refused"});
-        for (const obs::JsonValue &Cl : Cs->Arr) {
-          const obs::JsonValue *Name = Cl.find("name");
-          std::string N = Name && Name->isString() ? Name->Str : "?";
-          Tbl.addRow({N.empty() ? "(anonymous)" : N,
-                      std::to_string(uint64_t(num(Cl.find("weight")))),
-                      std::to_string(uint64_t(num(Cl.find("quota")))),
-                      std::to_string(uint64_t(num(Cl.find("queued")))),
-                      std::to_string(uint64_t(num(Cl.find("admitted")))),
-                      std::to_string(uint64_t(num(Cl.find("refused"))))});
-        }
-        Tbl.print(std::cout);
-      }
       std::cout.flush();
     }
 

@@ -7,7 +7,6 @@
 #include "obs/Histogram.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <mutex>
 
@@ -125,16 +124,6 @@ uint64_t HistogramSnapshot::percentile(double P) const {
     }
   }
   return Max;
-}
-
-void HistogramSnapshot::merge(const HistogramSnapshot &O) {
-  assert(Buckets.size() == O.Buckets.size() &&
-         "merging incompatible bucket layouts");
-  Count += O.Count;
-  Sum += O.Sum;
-  Max = std::max(Max, O.Max);
-  for (size_t I = 0; I != Buckets.size(); ++I)
-    Buckets[I] += O.Buckets[I];
 }
 
 std::vector<HistogramSnapshot> obs::snapshotHistograms(bool NonZeroOnly) {

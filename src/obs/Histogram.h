@@ -18,8 +18,7 @@
 /// width is 1/4 of its octave, so any quantile read from the buckets is
 /// an upper bound at most ~12.5% above the true value. Values beyond
 /// 2^38-1 (about 76 hours in microseconds) fall into one overflow
-/// bucket. Snapshots are plain vectors of counts and merge by addition,
-/// so per-shard histograms can be folded into fleet-wide ones.
+/// bucket.
 ///
 /// Units are the site's business; the convention (docs/OBSERVABILITY.md)
 /// is microseconds with a `_us` name suffix.
@@ -52,10 +51,6 @@ struct HistogramSnapshot {
   /// edge of the bucket holding the ceil(P*Count)-th observation,
   /// clamped to the observed Max. 0 when empty.
   uint64_t percentile(double P) const;
-
-  /// Adds \p O's observations into this snapshot (fleet roll-up). Merging
-  /// snapshots of differently-sized bucket layouts asserts.
-  void merge(const HistogramSnapshot &O);
 };
 
 /// One named histogram. Define at file scope via URSA_HISTO; the

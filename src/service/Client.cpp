@@ -27,8 +27,6 @@ URSA_STAT(StatClientBackoffMs, "ursa.client.backoff_ms",
           "total milliseconds slept in retry backoff");
 URSA_STAT(StatClientShedRetries, "ursa.client.shed_retries",
           "retries caused by a shed (load-refused) response");
-URSA_STAT(StatClientBusyRetries, "ursa.client.busy_retries",
-          "free retries caused by a busy_retry_later response");
 URSA_STAT(StatClientGiveUps, "ursa.client.give_ups",
           "supervised requests that exhausted retries or their deadline");
 
@@ -148,11 +146,11 @@ Status ServiceClient::send(const ServiceRequest &R) {
 
 Status ServiceClient::recv(ServiceResponse &Out, bool &Closed) {
   std::string Frame;
-  Closed = false;
-  if (Status St = Sock.recvFrame(Frame, Closed); !St.isOk())
+  Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
+  Status St = Sock.recvFrame(Frame, Ev);
+  Closed = Ev == Socket::FrameEvent::PeerClosed;
+  if (!St.isOk() || Closed)
     return St;
-  if (Closed)
-    return Status::ok();
   return parseResponse(Frame, Out);
 }
 
@@ -207,10 +205,6 @@ ServiceClient::Attempt ServiceClient::tryOnce(const ServiceRequest &R,
     Err = Status::error("service", "request shed: " + Out.Error);
     return Attempt::RetryShed; // explicitly refused, provably not started
   }
-  if (Out.Status == ServiceResponse::StatusKind::Busy) {
-    Err = Status::error("service", "fleet busy: " + Out.Error);
-    return Attempt::RetryBusy; // refused router-side, provably not started
-  }
   Err = Status::ok();
   return Attempt::Done;
 }
@@ -242,8 +236,7 @@ Status ServiceClient::callSupervised(const ServiceRequest &R,
   const uint64_t JKey = clientJitterKey(Tag, Tid);
 
   Status Err = Status::ok();
-  unsigned BusyLeft = Policy.BusyRetryCap;
-  for (unsigned Try = 0; Try <= Policy.MaxRetries;) {
+  for (unsigned Try = 0; Try <= Policy.MaxRetries; ++Try) {
     if (Try) {
       unsigned Delay = supervisedBackoffMs(Policy, JKey, Try);
       StatClientBackoffMs.add(Delay);
@@ -260,24 +253,6 @@ Status ServiceClient::callSupervised(const ServiceRequest &R,
     case Attempt::Fatal:
       RecordLatency();
       return Err; // at-most-once: never replay an indeterminate request
-    case Attempt::RetryBusy:
-      // The fleet refused for its own momentary reasons (no live backend,
-      // in-flight failover); the client is not the pressure source, so
-      // this retry is free — it consumes BusyLeft, never a backoff Try.
-      // Once the Busy allowance runs out, fall back to the backoff path.
-      if (BusyLeft) {
-        --BusyLeft;
-        StatClientBusyRetries.add();
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(Policy.BusyDelayMs));
-        if (!DeadlineLeft()) {
-          StatClientGiveUps.add();
-          return Status::error(
-              "service", "deadline expired while retrying: " + Err.message());
-        }
-        continue;
-      }
-      [[fallthrough]];
     case Attempt::RetryShed:
       StatClientShedRetries.add();
       [[fallthrough]];
@@ -289,7 +264,6 @@ Status ServiceClient::callSupervised(const ServiceRequest &R,
             "service", "deadline expired while retrying: " + Err.message());
         return Out2;
       }
-      ++Try;
       break; // loop for another attempt
     }
   }

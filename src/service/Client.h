@@ -70,13 +70,6 @@ struct RetryPolicy {
   /// Per-operation socket deadline applied to every connection
   /// (Socket::setOpTimeoutMs); 0 = unbounded.
   unsigned OpTimeoutMs = 0;
-  /// Cap on `busy_retry_later` retries. A Busy response is a momentary
-  /// fleet-side condition (router between backends), not client pressure,
-  /// so it retries after a short fixed delay without consuming a backoff
-  /// Try — this cap alone bounds the loop.
-  unsigned BusyRetryCap = 32;
-  /// Fixed delay before a Busy retry (no exponential growth).
-  unsigned BusyDelayMs = 5;
 };
 
 /// Mixes a client's process-unique instance tag with a request's trace id
@@ -116,10 +109,7 @@ public:
   /// One request under supervision: reconnects and retries per the
   /// policy, but only on failures the at-most-once rule allows (see file
   /// header). A `shed` response is retried with backoff and only
-  /// surfaced once retries are exhausted. A `busy_retry_later` response
-  /// (the router's "not your fault" refusal) is also provably unstarted,
-  /// but retries on a short fixed delay without burning a backoff Try —
-  /// bounded by RetryPolicy::BusyRetryCap instead.
+  /// surfaced once retries are exhausted.
   Status callSupervised(const ServiceRequest &R, ServiceResponse &Out);
 
   /// True while the underlying connection looks usable. After a failed
@@ -148,14 +138,7 @@ private:
   /// \p Tid is the trace id stamped on the wire — the same one across
   /// every retry of a supervised call, so the server-side records of all
   /// attempts correlate.
-  enum class Attempt {
-    Done,
-    RetryConnect,
-    RetrySend,
-    RetryShed,
-    RetryBusy, ///< busy_retry_later: free retry, BusyRetryCap-bounded
-    Fatal
-  };
+  enum class Attempt { Done, RetryConnect, RetrySend, RetryShed, Fatal };
   Attempt tryOnce(const ServiceRequest &R, std::string_view Tid,
                   ServiceResponse &Out, Status &Err);
 

@@ -729,8 +729,8 @@ std::string CompileService::reportJSON() const {
 }
 
 /// One histogram in the stats document: summary percentiles plus the
-/// non-empty buckets (upper edges in microseconds), enough to re-merge
-/// or re-bin downstream.
+/// non-empty buckets (upper edges in microseconds), enough to re-bin
+/// downstream.
 static void writeHistogramJson(obs::JsonWriter &W,
                                const obs::HistogramSnapshot &H) {
   W.beginObject();

@@ -54,7 +54,6 @@
 #define URSA_SERVICE_COMPILESERVICE_H
 
 #include "service/FlightRecorder.h"
-#include "service/Handler.h"
 #include "service/Protocol.h"
 #include "support/ThreadPool.h"
 #include "ursa/CacheImage.h"
@@ -193,15 +192,16 @@ struct ServiceCounters {
   uint64_t LastTierChangeUs = 0; ///< obs::monotonicNowUs; 0 = never moved
 };
 
-class CompileService : public ServiceHandler {
+class CompileService {
 public:
-  /// Invoked exactly once per submitted request, from a worker thread for
-  /// compiles that reached the queue and inline for refusals and the
-  /// non-compile ops. Must be thread-safe in the caller.
-  using ResponseFn = service::ResponseFn;
+  /// Delivers one response. Invoked exactly once per submitted request,
+  /// from a worker thread for compiles that reached the queue and inline
+  /// for refusals and the non-compile ops. Must be thread-safe in the
+  /// caller (the server serializes concurrent sends per connection).
+  using ResponseFn = std::function<void(const ServiceResponse &)>;
 
   explicit CompileService(const ServiceConfig &C);
-  ~CompileService() override; ///< stop(true): drains the queue, then joins
+  ~CompileService(); ///< stop(true): drains the queue, then joins
 
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
@@ -209,14 +209,14 @@ public:
   /// Routes any request. Compiles are queued (or shed); Report and Ping
   /// are answered inline; Shutdown is answered Bye and returns false so
   /// the transport can begin draining. Returns true otherwise.
-  bool handle(const ServiceRequest &R, ResponseFn Done) override;
+  bool handle(const ServiceRequest &R, ResponseFn Done);
 
   /// Queues one compile (or sheds it inline). Prefer handle().
   void submit(ServiceRequest R, ResponseFn Done);
 
   /// Stops admission. With \p Drain the queued jobs are still compiled;
   /// without it they are answered Shed. Joins the workers. Idempotent.
-  void stop(bool Drain) override;
+  void stop(bool Drain);
 
   /// The ursa.service_report.v1 document (see docs/SERVICE.md).
   std::string reportJSON() const;
@@ -238,7 +238,7 @@ public:
   const FlightRecorder &flight() const { return Flight; }
 
   /// Parse limits matching the configured request size cap.
-  obs::JsonParseLimits parseLimits() const override {
+  obs::JsonParseLimits parseLimits() const {
     obs::JsonParseLimits L;
     L.MaxBytes = Config.MaxRequestBytes;
     return L;

@@ -76,8 +76,6 @@ const char *service::statusName(ServiceResponse::StatusKind K) {
     return "bye";
   case ServiceResponse::StatusKind::Stats:
     return "stats";
-  case ServiceResponse::StatusKind::Busy:
-    return "busy_retry_later";
   }
   return "error";
 }
@@ -117,8 +115,6 @@ std::string service::writeRequest(const ServiceRequest &R,
     if (R.IncludeFlight)
       W.kv("flight", true);
   }
-  if (!R.Client.empty())
-    W.kv("client", R.Client);
   if (R.Op == ServiceRequest::OpKind::Compile) {
     W.kv("source", R.Source);
     W.key("machine").beginObject();
@@ -243,10 +239,6 @@ Status service::parseRequest(std::string_view Doc, ServiceRequest &Out,
     return St;
   if (Status St = readString(Root, "trace_id", Out.TraceId); !St.isOk())
     return St;
-  if (Status St = readString(Root, "client", Out.Client); !St.isOk())
-    return St;
-  if (Out.Client.size() > 128)
-    return Status::error("service", "field 'client' too long (max 128)");
   if (Out.Op == ServiceRequest::OpKind::Stats) {
     Status St;
     St.merge(readString(Root, "format", Out.StatsFormat));
@@ -345,8 +337,6 @@ std::string service::writeResponse(const ServiceResponse &R) {
   if (!R.TraceId.empty())
     W.kv("trace_id", R.TraceId);
   W.kv("status", statusName(R.Status));
-  if (!R.Backend.empty())
-    W.kv("backend", R.Backend);
   if (!R.Error.empty())
     W.kv("error", R.Error);
   if (R.Status == ServiceResponse::StatusKind::Ok) {
@@ -379,7 +369,6 @@ Status service::parseResponse(std::string_view Doc, ServiceResponse &Out) {
   Status St;
   St.merge(readString(Root, "id", Out.Id));
   St.merge(readString(Root, "trace_id", Out.TraceId));
-  St.merge(readString(Root, "backend", Out.Backend));
   St.merge(readString(Root, "status", StatusStr));
   St.merge(readString(Root, "error", Out.Error));
   St.merge(readString(Root, "text", Out.Text));
@@ -397,8 +386,6 @@ Status service::parseResponse(std::string_view Doc, ServiceResponse &Out) {
     Out.Status = ServiceResponse::StatusKind::Bye;
   else if (StatusStr == "stats")
     Out.Status = ServiceResponse::StatusKind::Stats;
-  else if (StatusStr == "busy_retry_later")
-    Out.Status = ServiceResponse::StatusKind::Busy;
   else
     Out.Status = ServiceResponse::StatusKind::Error;
   unsigned U = 0;

@@ -100,10 +100,6 @@ struct ServiceRequest {
   /// Test hook (honored only when the server enables test hooks): stall
   /// every allocation round by this many milliseconds.
   unsigned StallMs = 0;
-  /// Client identity for the router's fair queueing and quotas ("" = the
-  /// anonymous client). Backends ignore it; old servers never see the
-  /// field (it is omitted when empty and unknown fields are skipped).
-  std::string Client;
 };
 
 /// One service response.
@@ -115,21 +111,11 @@ struct ServiceResponse {
     Deadline, ///< the request's deadline expired before compilation
     Report,   ///< Text holds a ursa.service_report.v1 document
     Bye,      ///< shutdown acknowledged
-    Stats,    ///< Text holds a stats document (JSON or Prometheus text)
-    /// A momentary fleet-side condition (router found no backend, or a
-    /// backend was lost mid-request): resubmit freely — unlike Shed this
-    /// does not mean the *client* is over quota, so retrying it must not
-    /// burn the supervised-retry backoff budget. Old clients parse the
-    /// wire name "busy_retry_later" as Error (documented legacy mapping).
-    Busy
+    Stats     ///< Text holds a stats document (JSON or Prometheus text)
   } Status = StatusKind::Error;
   std::string Id;
   /// Echo of the request's trace id (possibly client-stamped).
   std::string TraceId;
-  /// Which backend served a routed request (router-stamped, "" when the
-  /// response came straight from a backend). Lets clients and tests see
-  /// shard placement without scraping router stats.
-  std::string Backend;
   std::string Error;
   /// For Ok: exactly what `ursa_cc <file> --machine ...` would print
   /// (stats comment + VLIW assembly). For Report: the report JSON.
@@ -149,14 +135,16 @@ struct ServiceResponse {
 std::string writeRequest(const ServiceRequest &R,
                          std::string_view TraceId = {});
 
-/// Parses an untrusted request document under \p Limits.
+/// Parses an untrusted request document under \p Limits. Fields the
+/// schema does not name are skipped.
 Status parseRequest(std::string_view Doc, ServiceRequest &Out,
                     const obs::JsonParseLimits &Limits = {});
 
 /// Serializes \p R as a ursa.service_response.v1 document.
 std::string writeResponse(const ServiceResponse &R);
 
-/// Parses a response document (trusted: our own server produced it).
+/// Parses a response document (trusted: our own server produced it). A
+/// status name this version does not know reads as StatusKind::Error.
 Status parseResponse(std::string_view Doc, ServiceResponse &Out);
 
 /// The wire name of a response status ("ok", "error", "shed", ...).

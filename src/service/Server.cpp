@@ -9,7 +9,6 @@
 #include "obs/Stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <unistd.h>
 
 using namespace ursa;
@@ -23,20 +22,7 @@ URSA_STAT(StatServerFrameErrors, "ursa.service.frame_errors",
           "connections dropped on a transport-level frame error");
 
 Server::Server(std::string Endpoint, const ServiceConfig &C)
-    : Path(std::move(Endpoint)), Owned(std::make_unique<CompileService>(C)),
-      Handler(Owned.get()) {
-  Transport.IdleTimeoutMs = C.IdleTimeoutMs;
-  Transport.IoTimeoutMs = C.IoTimeoutMs;
-}
-
-Server::Server(std::string Endpoint, ServiceHandler &H,
-               const TransportOpts &T)
-    : Path(std::move(Endpoint)), Handler(&H), Transport(T) {}
-
-CompileService &Server::service() {
-  assert(Owned && "service() on a server fronting an external handler");
-  return *Owned;
-}
+    : Path(std::move(Endpoint)), Service(C) {}
 
 void Server::Conn::send(const ServiceResponse &R) {
   std::lock_guard<std::mutex> L(WriteMu);
@@ -95,7 +81,7 @@ void Server::run() {
     sweepThreads(/*All=*/false);
     if (!A->valid())
       continue; // timeout: re-check the stop flag
-    if (unsigned Ms = Transport.IoTimeoutMs)
+    if (unsigned Ms = Service.config().IoTimeoutMs)
       (void)A->setOpTimeoutMs(Ms);
     StatServerConns.add();
     auto C = std::make_shared<Conn>(std::move(*A));
@@ -110,7 +96,7 @@ void Server::run() {
   // Drain: stop admission, finish every queued compile, flush responses
   // while the connection readers are still alive to carry them.
   Listener.close();
-  Handler->stop(/*Drain=*/true);
+  Service.stop(/*Drain=*/true);
 
   // Now unblock the readers and collect the threads.
   {
@@ -132,8 +118,8 @@ Server::~Server() {
 }
 
 void Server::serveConnection(std::shared_ptr<Conn> C) {
-  const obs::JsonParseLimits Limits = Handler->parseLimits();
-  const unsigned IdleMs = Transport.IdleTimeoutMs;
+  const obs::JsonParseLimits Limits = Service.parseLimits();
+  const unsigned IdleMs = Service.config().IdleTimeoutMs;
   for (;;) {
     std::string Frame;
     Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
@@ -168,7 +154,7 @@ void Server::serveConnection(std::shared_ptr<Conn> C) {
 
     // Worker threads answer compiles through the connection's write
     // lock; the Conn outlives this reader via the shared_ptr captures.
-    bool KeepServing = Handler->handle(
+    bool KeepServing = Service.handle(
         R, [C](const ServiceResponse &Resp) { C->send(Resp); });
     if (!KeepServing) {
       StopFlag.store(true);

@@ -45,14 +45,9 @@ class Server {
 public:
   /// \p Endpoint is "unix:PATH", a bare socket path, or "tcp:HOST:PORT"
   /// (see support/Socket.h). TCP port 0 is allowed; port() reports the
-  /// kernel's pick after start(). This form owns a CompileService built
-  /// from \p C — the historical `ursa_served` shape.
+  /// kernel's pick after start(). The server owns a CompileService built
+  /// from \p C and takes its transport knobs from the same config.
   Server(std::string Endpoint, const ServiceConfig &C);
-
-  /// Fronts an externally owned handler (the fleet router). \p H must
-  /// outlive the server; transport knobs come from \p T since there is no
-  /// ServiceConfig to read them from.
-  Server(std::string Endpoint, ServiceHandler &H, const TransportOpts &T);
 
   ~Server();
 
@@ -67,10 +62,8 @@ public:
   /// context (it only sets a flag — run() polls it between accepts).
   void requestStop() { StopFlag.store(true); }
 
-  /// The owned CompileService. Only valid for servers constructed from a
-  /// ServiceConfig (asserts otherwise — a handler-fronting server has no
-  /// compile service of its own).
-  CompileService &service();
+  /// The owned CompileService.
+  CompileService &service() { return Service; }
 
   const std::string &path() const { return Path; }
 
@@ -96,9 +89,7 @@ private:
 
   std::string Path;
   bool IsUnix = true; ///< endpoint kind, for the socket-file unlink
-  std::unique_ptr<CompileService> Owned; ///< null when fronting a handler
-  ServiceHandler *Handler = nullptr;     ///< Owned.get() or the external one
-  TransportOpts Transport;
+  CompileService Service;
   Socket Listener;
   std::atomic<bool> StopFlag{false};
 

@@ -261,21 +261,6 @@ bool Socket::parseEndpoint(const std::string &Ep, bool &IsTcp,
   return parsePort(PortStr, Port, Err);
 }
 
-std::vector<std::string> Socket::splitEndpointList(const std::string &List) {
-  std::vector<std::string> Out;
-  size_t Start = 0;
-  while (Start <= List.size()) {
-    size_t Comma = List.find(',', Start);
-    size_t End = Comma == std::string::npos ? List.size() : Comma;
-    if (End > Start)
-      Out.push_back(List.substr(Start, End - Start));
-    if (Comma == std::string::npos)
-      break;
-    Start = Comma + 1;
-  }
-  return Out;
-}
-
 static Status malformedEndpoint(const std::string &Ep,
                                 const std::string &Why) {
   return Status::error("socket", "malformed endpoint '" + Ep + "': " +
@@ -301,23 +286,6 @@ StatusOr<Socket> Socket::connectEndpoint(const std::string &Ep) {
   if (!parseEndpoint(Ep, IsTcp, HostOrPath, Port, &Why))
     return malformedEndpoint(Ep, Why);
   return IsTcp ? connectTcp(HostOrPath, Port) : connectUnix(HostOrPath);
-}
-
-StatusOr<Socket> Socket::connectAnyEndpoint(const std::vector<std::string> &Eps,
-                                            size_t *WhichOut) {
-  if (Eps.empty())
-    return Status::error("socket", "no endpoints to dial");
-  Status Last = Status::ok();
-  for (size_t I = 0; I < Eps.size(); ++I) {
-    StatusOr<Socket> S = connectEndpoint(Eps[I]);
-    if (S.isOk()) {
-      if (WhichOut)
-        *WhichOut = I;
-      return S;
-    }
-    Last = S.status();
-  }
-  return Last;
 }
 
 //===----------------------------------------------------------------------===//
@@ -477,12 +445,4 @@ Status Socket::recvFrame(std::string &Out, FrameEvent &Ev, size_t MaxBytes,
     return Status::error("socket", "connection closed mid-frame");
   }
   return Status::ok();
-}
-
-Status Socket::recvFrame(std::string &Out, bool &PeerClosed,
-                         size_t MaxBytes) {
-  FrameEvent Ev;
-  Status St = recvFrame(Out, Ev, MaxBytes, /*FirstByteTimeoutMs=*/-1);
-  PeerClosed = Ev == FrameEvent::PeerClosed;
-  return St;
 }

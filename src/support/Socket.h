@@ -29,9 +29,6 @@
 ///                                address colons don't split the port)
 ///   "tcp:PORT"                   TCP on loopback
 /// TCP listeners may bind port 0; localPort() reports the kernel's pick.
-/// A comma-separated list of endpoints names alternates to dial in order
-/// (splitEndpointList / connectAnyEndpoint) — the router front-end and its
-/// clients use this for fallback targets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +41,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace ursa {
 
@@ -102,21 +98,9 @@ public:
                             std::string &HostOrPath, uint16_t &Port,
                             std::string *Err = nullptr);
 
-  /// Splits a comma-separated endpoint list ("tcp:9001,tcp:host:9002")
-  /// into individual endpoints, dropping empty entries. Unix socket paths
-  /// containing commas cannot ride in a list; dial them singly.
-  static std::vector<std::string> splitEndpointList(const std::string &List);
-
   static StatusOr<Socket> listenEndpoint(const std::string &Ep,
                                          int Backlog = 16);
   static StatusOr<Socket> connectEndpoint(const std::string &Ep);
-
-  /// Dials each endpoint in order and returns the first that answers
-  /// (multi-endpoint dialing: routers with fallbacks, fleet seeds). On
-  /// success \p WhichOut (when non-null) gets the index that connected; on
-  /// failure the Status carries the last endpoint's error.
-  static StatusOr<Socket> connectAnyEndpoint(const std::vector<std::string> &Eps,
-                                             size_t *WhichOut = nullptr);
 
   //===--- Connections -----------------------------------------------------===//
 
@@ -155,11 +139,6 @@ public:
   /// EOF, and mid-frame stalls past the op timeout.
   Status recvFrame(std::string &Out, FrameEvent &Ev,
                    size_t MaxBytes = 64u << 20, int FirstByteTimeoutMs = -1);
-
-  /// Compatibility shim: FrameEvent collapsed to a PeerClosed flag (no
-  /// idle timeout).
-  Status recvFrame(std::string &Out, bool &PeerClosed,
-                   size_t MaxBytes = 64u << 20);
 
   /// Shuts down both directions, unblocking any thread inside
   /// recvFrame/sendFrame on this socket (used for server shutdown).

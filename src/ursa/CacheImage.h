@@ -12,9 +12,8 @@
 /// of (DAG, machine model, measure options) — so the image stores the
 /// *inputs*: the trace and edge list of each cached DAG, keyed by its
 /// dagFingerprint. On load the states are rebuilt; re-deriving is O(n^2)
-/// per entry but happens once at startup, off the request path, which is
-/// the trade the ROADMAP's fleet item asks for (never recompute cold *per
-/// request*).
+/// per entry but happens once at startup, off the request path: a
+/// restarted server never recomputes cold *per request*.
 ///
 /// On-disk layout (one snapshot + one journal per machine key):
 ///

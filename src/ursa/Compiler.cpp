@@ -38,7 +38,6 @@ URSACompileResult ursa::compileURSA(const Trace &T, const MachineModel &M,
   R.AllocSpills = Alloc.SpillsInserted;
   R.AllocWithinLimits = Alloc.WithinLimits;
   R.FinalRequired = Alloc.FinalRequired;
-  R.AllocLog = Alloc.formatLog();
   R.AllocRoundLog = Alloc.RoundLog;
   R.AllocStopReasons = Alloc.StopReasons;
   R.VerifyFailed = Alloc.VerifyFailed;

@@ -35,7 +35,7 @@ namespace ursa {
 /// accounting.
 struct URSACompileResult {
   CompileResult Compile;
-  /// Allocation-phase details (rounds, requirement levels, log).
+  /// Allocation-phase details (rounds, requirement levels, round log).
   unsigned AllocRounds = 0;
   unsigned AllocSeqEdges = 0;
   unsigned AllocSpills = 0;
@@ -46,8 +46,6 @@ struct URSACompileResult {
   /// Why the reduction loop stopped early, when it did (URSAResult::
   /// StopReasons).
   std::vector<std::string> AllocStopReasons;
-  /// Text rendering of AllocRoundLog (compatibility shim).
-  std::vector<std::string> AllocLog;
 
   /// Guardrail accounting (see docs/ROBUSTNESS.md). VerifyFailed means a
   /// pipeline invariant was violated and compilation stopped with

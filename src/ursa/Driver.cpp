@@ -157,14 +157,6 @@ std::string RoundRecord::describe() const {
   return Detail + Buf;
 }
 
-std::vector<std::string> URSAResult::formatLog() const {
-  std::vector<std::string> Out;
-  Out.reserve(RoundLog.size());
-  for (const RoundRecord &RR : RoundLog)
-    Out.push_back(RR.describe());
-  return Out;
-}
-
 /// Collects candidate proposals for the current state, restricted to the
 /// resource kinds active in this phase.
 static std::vector<TransformProposal>

@@ -146,10 +146,6 @@ struct URSAOptions {
   bool GuaranteedFit = false;
   /// Testing hook: an armed fault injector (see ursa/FaultInjector.h).
   FaultInjector *Faults = nullptr;
-  /// Deprecated, ignored: the per-round log is now always collected as
-  /// structured RoundRecords (URSAResult::RoundLog); render text with
-  /// URSAResult::formatLog(). Kept so existing callers still compile.
-  bool KeepLog = false;
   /// Ablation switches (X4): restrict the register transformations to
   /// sequencing only or spilling only.
   bool EnableSpills = true;
@@ -159,8 +155,7 @@ struct URSAOptions {
 /// One applied transformation round, structured for telemetry: which
 /// transform won on which resource, what it did to the excess and the
 /// critical path, and how long the round (measure + tentative evaluation
-/// + apply) took. Replaces the old free-text KeepLog lines — formatLog()
-/// renders the identical text from these records.
+/// + apply) took. describe() renders one record as a log line.
 struct RoundRecord {
   unsigned Round = 0; ///< 1-based ordinal within the run
   TransformProposal::KindT Kind = TransformProposal::FUSequence;
@@ -174,7 +169,7 @@ struct RoundRecord {
   unsigned ProposalsTried = 0; ///< candidates tentatively applied
   double DurationMs = 0;
 
-  /// The legacy log line ("spill[reg(gpr)]... (excess 5->4, cp 7)").
+  /// The log line ("spill[reg(gpr)]... (excess 5->4, cp 7)").
   std::string describe() const;
 };
 
@@ -211,9 +206,6 @@ struct URSAResult {
   /// number the 100k-node memory-wall gates watch.
   std::string ClosureRepUsed;
   size_t ClosureBytesPeak = 0;
-
-  /// The old string log, rendered from RoundLog (compatibility shim).
-  std::vector<std::string> formatLog() const;
 
   /// Guardrail accounting. VerifyFailed means a phase-boundary check
   /// found a broken invariant and allocation stopped early — the DAG must

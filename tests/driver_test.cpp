@@ -110,11 +110,9 @@ TEST(Driver, RequirementsNeverIncreaseAcrossRun) {
 TEST(Driver, LogRecordsRounds) {
   MachineModel M = MachineModel::homogeneous(2, 3);
   URSAResult R = runURSA(buildDAG(figure2Trace()), M);
-  EXPECT_EQ(R.RoundLog.size(), R.Rounds);
-  std::vector<std::string> Log = R.formatLog();
-  ASSERT_EQ(Log.size(), R.Rounds);
-  for (const std::string &L : Log)
-    EXPECT_FALSE(L.empty());
+  ASSERT_EQ(R.RoundLog.size(), R.Rounds);
+  for (const RoundRecord &RR : R.RoundLog)
+    EXPECT_FALSE(RR.describe().empty());
 }
 
 TEST(Driver, RoundTelemetryMatchesResultAccounting) {

@@ -31,6 +31,11 @@ struct MachineCase {
   unsigned Fus, Regs;
 };
 
+/// Prints a case by value ("wide 8x16") so test names stay stable.
+void PrintTo(const MachineCase &C, std::ostream *OS) {
+  *OS << C.Name << ' ' << C.Fus << 'x' << C.Regs;
+}
+
 class DifferentialTest : public ::testing::TestWithParam<MachineCase> {};
 
 void expectMatch(const Trace &T, const MachineModel &M,

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -99,152 +98,6 @@ TEST_F(HistogramTest, OverflowBucketCatchesHugeValues) {
   EXPECT_EQ(S.Buckets[Histogram::NumBuckets - 1], 1u);
   EXPECT_EQ(S.Max, Huge);
   EXPECT_EQ(S.percentile(0.5), Huge); // clamped to Max, not UINT64_MAX
-}
-
-TEST_F(HistogramTest, MergeAddsEverything) {
-  TestHisto.record(5);
-  TestHisto.record(100);
-  TestHistoB.record(100);
-  TestHistoB.record(1ull << 40);
-  HistogramSnapshot A = TestHisto.snapshot();
-  HistogramSnapshot B = TestHistoB.snapshot();
-  A.merge(B);
-  EXPECT_EQ(A.Count, 4u);
-  EXPECT_EQ(A.Sum, 5u + 100u + 100u + (1ull << 40));
-  EXPECT_EQ(A.Max, 1ull << 40);
-  EXPECT_EQ(A.Buckets[Histogram::bucketIndex(100)], 2u);
-  EXPECT_EQ(A.Buckets[Histogram::NumBuckets - 1], 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Merge algebra: the properties the fleet roll-up leans on
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Builds a snapshot from a deterministic pseudo-random value stream (a
-/// split-mix step), spanning exact buckets, octave buckets, and (seed 3)
-/// the overflow bucket. Returns the raw values for ground truth.
-std::vector<uint64_t> fillSnapshot(Histogram &H, uint64_t Seed, unsigned N) {
-  std::vector<uint64_t> Values;
-  uint64_t X = Seed * 0x9E3779B97F4A7C15ull + 1;
-  for (unsigned I = 0; I != N; ++I) {
-    X ^= X >> 30;
-    X *= 0xBF58476D1CE4E5B9ull;
-    X ^= X >> 27;
-    uint64_t V = X % (Seed == 3 && I % 97 == 0 ? (1ull << 40) : 200000ull);
-    Values.push_back(V);
-    H.record(V);
-  }
-  return Values;
-}
-
-bool snapshotsEqual(const HistogramSnapshot &A, const HistogramSnapshot &B) {
-  return A.Count == B.Count && A.Sum == B.Sum && A.Max == B.Max &&
-         A.Buckets == B.Buckets;
-}
-
-} // namespace
-
-TEST_F(HistogramTest, MergeIsCommutative) {
-  fillSnapshot(TestHisto, 1, 500);
-  fillSnapshot(TestHistoB, 2, 300);
-  HistogramSnapshot A = TestHisto.snapshot();
-  HistogramSnapshot B = TestHistoB.snapshot();
-
-  HistogramSnapshot AB = A;
-  AB.merge(B);
-  HistogramSnapshot BA = B;
-  BA.merge(A);
-  EXPECT_TRUE(snapshotsEqual(AB, BA));
-}
-
-TEST_F(HistogramTest, MergeIsAssociative) {
-  // Three shards folded ((A+B)+C) and (A+(B+C)) — the router may fetch
-  // backends in any order and fold incrementally; the result must not
-  // depend on it.
-  fillSnapshot(TestHisto, 1, 400);
-  HistogramSnapshot A = TestHisto.snapshot();
-  obs::resetHistograms();
-  fillSnapshot(TestHisto, 2, 350);
-  HistogramSnapshot B = TestHisto.snapshot();
-  obs::resetHistograms();
-  fillSnapshot(TestHisto, 3, 450);
-  HistogramSnapshot C = TestHisto.snapshot();
-
-  HistogramSnapshot L = A; // (A+B)+C
-  L.merge(B);
-  L.merge(C);
-  HistogramSnapshot BC = B; // A+(B+C)
-  BC.merge(C);
-  HistogramSnapshot R = A;
-  R.merge(BC);
-  EXPECT_TRUE(snapshotsEqual(L, R));
-}
-
-TEST_F(HistogramTest, MergePreservesEveryCount) {
-  // Count, Sum, and every bucket add exactly: merging N shards reports
-  // precisely the union of their observations, nothing created or lost.
-  auto VA = fillSnapshot(TestHisto, 1, 600);
-  auto VB = fillSnapshot(TestHistoB, 3, 500);
-  HistogramSnapshot A = TestHisto.snapshot();
-  HistogramSnapshot B = TestHistoB.snapshot();
-  HistogramSnapshot M = A;
-  M.merge(B);
-
-  EXPECT_EQ(M.Count, uint64_t(VA.size() + VB.size()));
-  uint64_t Sum = 0;
-  for (uint64_t V : VA)
-    Sum += V;
-  for (uint64_t V : VB)
-    Sum += V;
-  EXPECT_EQ(M.Sum, Sum);
-  EXPECT_EQ(M.Max, std::max(A.Max, B.Max));
-  uint64_t BucketTotal = 0;
-  for (unsigned I = 0; I != Histogram::NumBuckets; ++I) {
-    EXPECT_EQ(M.Buckets[I], A.Buckets[I] + B.Buckets[I]);
-    BucketTotal += M.Buckets[I];
-  }
-  EXPECT_EQ(BucketTotal, M.Count);
-}
-
-TEST_F(HistogramTest, MergedPercentilesKeepTheBucketErrorBound) {
-  // The fleet property: a percentile read from merged shard snapshots
-  // obeys the same upper-bound-within-~12.5% contract as a single
-  // histogram over the union of the values.
-  auto VA = fillSnapshot(TestHisto, 1, 800);
-  auto VB = fillSnapshot(TestHistoB, 2, 700);
-  HistogramSnapshot M = TestHisto.snapshot();
-  M.merge(TestHistoB.snapshot());
-
-  std::vector<uint64_t> Union = VA;
-  Union.insert(Union.end(), VB.begin(), VB.end());
-  std::sort(Union.begin(), Union.end());
-  for (double P : {0.5, 0.9, 0.99}) {
-    // Same rank convention as HistogramSnapshot::percentile: 1-indexed
-    // ceil(P * Count).
-    size_t Rank = size_t(std::ceil(P * double(Union.size())));
-    uint64_t True = Union[std::min(Union.size() - 1, Rank ? Rank - 1 : 0)];
-    uint64_t Est = M.percentile(P);
-    EXPECT_GE(Est, True) << "merged p" << P * 100 << " not an upper bound";
-    // Sub-octave buckets have edges at 2^k * {1, 1.25, 1.5, 1.75}, so the
-    // answer can overshoot by at most one bucket width: a factor of 1.25.
-    EXPECT_LE(double(Est), double(True) * 1.25 + 1)
-        << "merged p" << P * 100 << " beyond the bucket error bound";
-  }
-  EXPECT_EQ(M.percentile(1.0), M.Max);
-}
-
-TEST_F(HistogramTest, MergeWithEmptyIsIdentity) {
-  fillSnapshot(TestHisto, 1, 200);
-  HistogramSnapshot A = TestHisto.snapshot();
-  HistogramSnapshot Empty = TestHistoB.snapshot();
-  HistogramSnapshot M = A;
-  M.merge(Empty);
-  EXPECT_TRUE(snapshotsEqual(M, A));
-  HistogramSnapshot M2 = Empty;
-  M2.merge(A);
-  EXPECT_TRUE(snapshotsEqual(M2, A));
 }
 
 TEST_F(HistogramTest, DisabledSitesRecordNothing) {

@@ -38,6 +38,11 @@ struct MachineParam {
   unsigned Fus, Regs;
 };
 
+/// Prints a machine by value ("wide 8x12") so test names stay stable.
+void PrintTo(const MachineParam &P, std::ostream *OS) {
+  *OS << P.Name << ' ' << P.Fus << 'x' << P.Regs;
+}
+
 class DriverInvariants : public ::testing::TestWithParam<MachineParam> {};
 
 } // namespace

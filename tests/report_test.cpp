@@ -15,9 +15,7 @@ using namespace ursa;
 TEST(Report, ContainsRequirementsAndEffort) {
   MachineModel M = MachineModel::homogeneous(2, 3);
   DependenceDAG D = buildDAG(figure2Trace());
-  URSAOptions UO;
-  UO.KeepLog = true;
-  URSAResult R = runURSA(D, M, UO);
+  URSAResult R = runURSA(D, M);
   std::string S = formatAllocationReport(D, R, M);
   EXPECT_NE(S.find("machine 2fu/3r"), std::string::npos);
   EXPECT_NE(S.find("fu"), std::string::npos);

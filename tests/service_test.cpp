@@ -344,6 +344,45 @@ TEST(CompileServiceTest, CompilesAndMatchesDirectPath) {
   }
 }
 
+TEST(CompileServiceTest, RetiredFleetFieldsChangeNothing) {
+  // A request's "client" field is skipped like any unknown field: the
+  // compile answers with the same text as the same request without it.
+  std::string Wire = writeRequest(compileRequest("plain", genSource(3)));
+  ASSERT_EQ(Wire.front(), '{');
+  std::string Tagged = "{\"client\":\"x\"," + Wire.substr(1);
+  ServiceRequest Plain, WithClient;
+  ASSERT_TRUE(parseRequest(Wire, Plain).isOk());
+  Status St = parseRequest(Tagged, WithClient);
+  ASSERT_TRUE(St.isOk()) << St.str();
+  WithClient.Id = "client";
+
+  ServiceConfig Cfg;
+  CompileService Svc(Cfg);
+  Collector Col;
+  Svc.handle(Plain, Col.sink());
+  Svc.handle(WithClient, Col.sink());
+  ASSERT_EQ(Col.waitFor(2).size(), 2u);
+  const ServiceResponse *A = Col.byId("plain");
+  const ServiceResponse *B = Col.byId("client");
+  ASSERT_NE(A, nullptr);
+  ASSERT_NE(B, nullptr);
+  ASSERT_EQ(A->Status, ServiceResponse::StatusKind::Ok) << A->Error;
+  ASSERT_EQ(B->Status, ServiceResponse::StatusKind::Ok) << B->Error;
+  EXPECT_EQ(B->Text, A->Text);
+
+  // A response that names a backend and the retired busy_retry_later
+  // status reads as a plain error.
+  ServiceResponse Legacy;
+  ASSERT_TRUE(parseResponse("{\"schema\":\"ursa.service_response.v1\","
+                            "\"id\":\"r\",\"status\":\"busy_retry_later\","
+                            "\"backend\":\"b1\",\"error\":\"no backend\"}",
+                            Legacy)
+                  .isOk());
+  EXPECT_EQ(Legacy.Status, ServiceResponse::StatusKind::Error);
+  EXPECT_EQ(Legacy.Id, "r");
+  EXPECT_EQ(Legacy.Error, "no backend");
+}
+
 TEST(CompileServiceTest, FiftyFunctionCorpusBitIdenticalWarmAndCold) {
   // The acceptance corpus: 50 distinct functions, compiled twice (cold
   // cache, then warm), at 4 workers. Every response must equal the direct
@@ -933,9 +972,9 @@ TEST(ServiceServer, MalformedFrameGetsErrorResponse) {
     ASSERT_TRUE(SOr.isOk());
     ASSERT_TRUE(SOr->sendFrame("this is not json").isOk());
     std::string Frame;
-    bool Closed = false;
-    ASSERT_TRUE(SOr->recvFrame(Frame, Closed).isOk());
-    ASSERT_FALSE(Closed);
+    Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
+    ASSERT_TRUE(SOr->recvFrame(Frame, Ev).isOk());
+    ASSERT_EQ(Ev, Socket::FrameEvent::Frame);
     ServiceResponse R;
     ASSERT_TRUE(parseResponse(Frame, R).isOk());
     EXPECT_EQ(R.Status, ServiceResponse::StatusKind::Error);
@@ -945,8 +984,8 @@ TEST(ServiceServer, MalformedFrameGetsErrorResponse) {
     ServiceRequest Ping;
     Ping.Op = ServiceRequest::OpKind::Ping;
     ASSERT_TRUE(SOr->sendFrame(writeRequest(Ping)).isOk());
-    ASSERT_TRUE(SOr->recvFrame(Frame, Closed).isOk());
-    ASSERT_FALSE(Closed);
+    ASSERT_TRUE(SOr->recvFrame(Frame, Ev).isOk());
+    ASSERT_EQ(Ev, Socket::FrameEvent::Frame);
     ASSERT_TRUE(parseResponse(Frame, R).isOk());
     EXPECT_EQ(R.Status, ServiceResponse::StatusKind::Ok);
   }

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The fleet-grade transport story: TCP endpoints next to Unix sockets,
+// The transport story: TCP endpoints next to Unix sockets,
 // the wire fault matrix (every WireFault either surfaces as a clean
 // Status on the injecting side or is healed by the server dropping the
 // connection — never a hang, crash, or duplicate compile), fuzz-style
@@ -179,35 +179,6 @@ TEST(SocketEndpoints, ConnectErrorRebracketsIpv6Hosts) {
       << SOr.status().str();
 }
 
-TEST(SocketEndpoints, SplitsEndpointLists) {
-  std::vector<std::string> L =
-      Socket::splitEndpointList("tcp:[::1]:80,unix:/tmp/a.sock,,tcp:9");
-  ASSERT_EQ(L.size(), 3u);
-  EXPECT_EQ(L[0], "tcp:[::1]:80"); // the comma split must not cut inside
-  EXPECT_EQ(L[1], "unix:/tmp/a.sock");
-  EXPECT_EQ(L[2], "tcp:9");
-  EXPECT_TRUE(Socket::splitEndpointList("").empty());
-}
-
-TEST(SocketEndpoints, ConnectAnyFallsThroughDeadEndpoints) {
-  ServiceConfig Cfg;
-  TcpServer T(Cfg);
-
-  // First endpoint refuses, second is the live server.
-  size_t Which = 99;
-  StatusOr<Socket> SOr = Socket::connectAnyEndpoint(
-      {"tcp:127.0.0.1:1", T.Endpoint}, &Which);
-  ASSERT_TRUE(SOr.isOk()) << SOr.status().str();
-  EXPECT_EQ(Which, 1u);
-
-  // All dead: the last error surfaces, nothing hangs.
-  StatusOr<Socket> Dead =
-      Socket::connectAnyEndpoint({"tcp:127.0.0.1:1", "tcp:127.0.0.1:2"});
-  EXPECT_FALSE(Dead.isOk());
-  StatusOr<Socket> None = Socket::connectAnyEndpoint({});
-  EXPECT_FALSE(None.isOk());
-}
-
 TEST(SocketEndpoints, Ipv6LoopbackRoundTripsWhenAvailable) {
   StatusOr<Socket> LOr = Socket::listenTcp("::1", 0);
   if (!LOr.isOk())
@@ -219,8 +190,8 @@ TEST(SocketEndpoints, Ipv6LoopbackRoundTripsWhenAvailable) {
     StatusOr<Socket> A = LOr->accept(2000);
     ASSERT_TRUE(A.isOk() && A->valid());
     std::string In;
-    bool Closed = false;
-    ASSERT_TRUE(A->recvFrame(In, Closed).isOk());
+    Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
+    ASSERT_TRUE(A->recvFrame(In, Ev).isOk());
     ASSERT_TRUE(A->sendFrame("v6:" + In).isOk());
   });
   StatusOr<Socket> COr =
@@ -228,8 +199,8 @@ TEST(SocketEndpoints, Ipv6LoopbackRoundTripsWhenAvailable) {
   ASSERT_TRUE(COr.isOk()) << COr.status().str();
   ASSERT_TRUE(COr->sendFrame("ping").isOk());
   std::string Back;
-  bool Closed = false;
-  ASSERT_TRUE(COr->recvFrame(Back, Closed).isOk());
+  Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
+  ASSERT_TRUE(COr->recvFrame(Back, Ev).isOk());
   EXPECT_EQ(Back, "v6:ping");
   Peer.join();
 }
@@ -244,9 +215,9 @@ TEST(SocketTcp, FramesRoundTripBothWays) {
     StatusOr<Socket> A = LOr->accept(2000);
     ASSERT_TRUE(A.isOk() && A->valid());
     std::string In;
-    bool Closed = false;
-    ASSERT_TRUE(A->recvFrame(In, Closed).isOk());
-    ASSERT_FALSE(Closed);
+    Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
+    ASSERT_TRUE(A->recvFrame(In, Ev).isOk());
+    ASSERT_EQ(Ev, Socket::FrameEvent::Frame);
     ASSERT_TRUE(A->sendFrame("echo:" + In).isOk());
   });
 
@@ -256,8 +227,8 @@ TEST(SocketTcp, FramesRoundTripBothWays) {
   std::string Payload("b\0in\xff" "ary", 8);
   ASSERT_TRUE(COr->sendFrame(Payload).isOk());
   std::string Back;
-  bool Closed = false;
-  ASSERT_TRUE(COr->recvFrame(Back, Closed).isOk());
+  Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
+  ASSERT_TRUE(COr->recvFrame(Back, Ev).isOk());
   EXPECT_EQ(Back, "echo:" + Payload);
   Peer.join();
 }
@@ -279,7 +250,7 @@ TEST(SocketTcp, OpTimeoutBoundsAMidFrameStall) {
 
   auto Start = std::chrono::steady_clock::now();
   std::string Out;
-  Socket::FrameEvent Ev;
+  Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
   Status St = AOr->recvFrame(Out, Ev);
   double Ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - Start)
@@ -299,7 +270,7 @@ TEST(SocketTcp, IdleFirstByteTimeoutIsDistinctFromAStall) {
   // Nothing arrives at all: that is IdleTimeout, an OK status — the
   // server's cue to reap, not a transport error.
   std::string Out;
-  Socket::FrameEvent Ev;
+  Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
   Status St = AOr->recvFrame(Out, Ev, 64u << 20, /*FirstByteTimeoutMs=*/40);
   EXPECT_TRUE(St.isOk()) << St.str();
   EXPECT_EQ(Ev, Socket::FrameEvent::IdleTimeout);
@@ -441,9 +412,9 @@ TEST(MalformedWire, ZeroLengthFrameIsACleanProtocolError) {
   ASSERT_TRUE(SOr.isOk());
   ASSERT_TRUE(SOr->sendFrame("").isOk());
   std::string Out;
-  bool Closed = false;
-  ASSERT_TRUE(SOr->recvFrame(Out, Closed).isOk());
-  ASSERT_FALSE(Closed);
+  Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
+  ASSERT_TRUE(SOr->recvFrame(Out, Ev).isOk());
+  ASSERT_EQ(Ev, Socket::FrameEvent::Frame);
   ServiceResponse R;
   ASSERT_TRUE(parseResponse(Out, R).isOk());
   EXPECT_EQ(R.Status, ServiceResponse::StatusKind::Error);
@@ -452,8 +423,8 @@ TEST(MalformedWire, ZeroLengthFrameIsACleanProtocolError) {
   Ping.Op = ServiceRequest::OpKind::Ping;
   Ping.Id = "after-empty";
   ASSERT_TRUE(SOr->sendFrame(writeRequest(Ping)).isOk());
-  ASSERT_TRUE(SOr->recvFrame(Out, Closed).isOk());
-  ASSERT_FALSE(Closed);
+  ASSERT_TRUE(SOr->recvFrame(Out, Ev).isOk());
+  ASSERT_EQ(Ev, Socket::FrameEvent::Frame);
   ASSERT_TRUE(parseResponse(Out, R).isOk());
   EXPECT_EQ(R.Status, ServiceResponse::StatusKind::Ok);
 }
@@ -473,9 +444,9 @@ TEST(MalformedWire, JsonDepthBombInAValidFrameIsRejected) {
   Bomb += "}";
   ASSERT_TRUE(SOr->sendFrame(Bomb).isOk());
   std::string Out;
-  bool Closed = false;
-  ASSERT_TRUE(SOr->recvFrame(Out, Closed).isOk());
-  ASSERT_FALSE(Closed);
+  Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
+  ASSERT_TRUE(SOr->recvFrame(Out, Ev).isOk());
+  ASSERT_EQ(Ev, Socket::FrameEvent::Frame);
   ServiceResponse R;
   ASSERT_TRUE(parseResponse(Out, R).isOk());
   EXPECT_EQ(R.Status, ServiceResponse::StatusKind::Error);
@@ -528,7 +499,6 @@ struct ScriptedPeer {
   enum class Script {
     CloseBeforeResponse, ///< read the request, clean FIN, no response
     ResetMidResponse,    ///< read the request, start a response, die dirty
-    AnswerBusy,          ///< answer busy_retry_later, keep the connection
     AnswerOk             ///< read the request, answer it properly
   };
 
@@ -546,24 +516,24 @@ struct ScriptedPeer {
     Runner = std::thread([this] { serve(); });
   }
   ~ScriptedPeer() {
-    Listener.close();
+    // shutdown() wakes a serve() blocked in accept(); the listener closes
+    // only after the thread that reads it is joined.
+    Listener.shutdown();
     Runner.join();
   }
 
   void serve() {
-    // A Busy answer keeps its connection; the next script serves the
-    // retry arriving on it instead of a fresh accept.
-    Socket Live;
+    // Every script ends by closing its connection, so each one serves a
+    // fresh accept.
     for (Script S : Scripts) {
-      if (!Live.valid()) {
-        StatusOr<Socket> AOr = Listener.accept(5000);
-        if (!AOr.isOk() || !AOr->valid())
-          return;
-        Live = std::move(*AOr);
-      }
+      StatusOr<Socket> AOr = Listener.accept(5000);
+      if (!AOr.isOk() || !AOr->valid())
+        return;
+      Socket Live = std::move(*AOr);
       std::string Frame;
-      bool Closed = false;
-      if (!Live.recvFrame(Frame, Closed).isOk() || Closed) {
+      Socket::FrameEvent Ev = Socket::FrameEvent::Frame;
+      if (!Live.recvFrame(Frame, Ev).isOk() ||
+          Ev == Socket::FrameEvent::PeerClosed) {
         Live.close();
         continue;
       }
@@ -577,14 +547,6 @@ struct ScriptedPeer {
       case Script::CloseBeforeResponse:
         Live.close(); // clean FIN before any response byte
         break;
-      case Script::AnswerBusy: {
-        ServiceResponse Resp;
-        Resp.Status = ServiceResponse::StatusKind::Busy;
-        Resp.Id = R.Id;
-        Resp.Error = "no live backend";
-        (void)Live.sendFrame(writeResponse(Resp));
-        break; // keep the connection: the retry rides it
-      }
       case Script::ResetMidResponse: {
         ServiceResponse Resp;
         Resp.Status = ServiceResponse::StatusKind::Ok;
@@ -602,8 +564,8 @@ struct ScriptedPeer {
         (void)Live.sendFrame(writeResponse(Resp));
         // Let the client read before the socket drops.
         std::string Dummy;
-        bool C2 = false;
-        (void)Live.recvFrame(Dummy, C2);
+        Socket::FrameEvent Ev2 = Socket::FrameEvent::Frame;
+        (void)Live.recvFrame(Dummy, Ev2);
         Live.close();
         break;
       }
@@ -700,59 +662,6 @@ TEST(SupervisedRetry, ReconnectsAfterServerRestartOnTheSameEndpoint) {
 
   Srv->requestStop();
   Run2.join();
-}
-
-TEST(SupervisedRetry, BusyRetriesWithoutBurningTheBackoffBudget) {
-  // Two busy_retry_later answers, then success — with MaxRetries = 0.
-  // If Busy consumed the backoff budget the call would fail after the
-  // first answer; the separate BusyRetryCap is what lets it through.
-  ScriptedPeer Peer({ScriptedPeer::Script::AnswerBusy,
-                     ScriptedPeer::Script::AnswerBusy,
-                     ScriptedPeer::Script::AnswerOk});
-
-  RetryPolicy P;
-  P.MaxRetries = 0; // no transport-failure budget at all
-  P.BusyDelayMs = 1;
-  StatusOr<ServiceClient> COr =
-      ServiceClient::connectWithRetry(Peer.Endpoint, P);
-  ASSERT_TRUE(COr.isOk()) << COr.status().str();
-
-  ServiceRequest R;
-  R.Op = ServiceRequest::OpKind::Ping;
-  R.Id = "busy-free";
-  ServiceResponse Out;
-  Status St = COr->callSupervised(R, Out);
-  ASSERT_TRUE(St.isOk()) << St.str();
-  EXPECT_EQ(Out.Text, "scripted-ok");
-  EXPECT_EQ(Peer.RequestsSeen.load(), 3u);
-}
-
-TEST(SupervisedRetry, BusyCapBoundsTheLoop) {
-  // Nothing but busy answers: the BusyRetryCap (not a hang) ends it. The
-  // cap overflow falls through to the shed path, which with MaxRetries=0
-  // fails immediately.
-  ScriptedPeer Peer({ScriptedPeer::Script::AnswerBusy,
-                     ScriptedPeer::Script::AnswerBusy,
-                     ScriptedPeer::Script::AnswerBusy,
-                     ScriptedPeer::Script::AnswerBusy});
-
-  RetryPolicy P;
-  P.MaxRetries = 0;
-  P.BusyRetryCap = 2;
-  P.BusyDelayMs = 1;
-  StatusOr<ServiceClient> COr =
-      ServiceClient::connectWithRetry(Peer.Endpoint, P);
-  ASSERT_TRUE(COr.isOk()) << COr.status().str();
-
-  ServiceRequest R;
-  R.Op = ServiceRequest::OpKind::Ping;
-  R.Id = "busy-capped";
-  ServiceResponse Out;
-  Status St = COr->callSupervised(R, Out);
-  EXPECT_FALSE(St.isOk());
-  EXPECT_NE(St.message().find("busy"), std::string::npos) << St.str();
-  // Initial try + BusyRetryCap retries, nothing more.
-  EXPECT_EQ(Peer.RequestsSeen.load(), 3u);
 }
 
 TEST(SupervisedRetry, ConnectRefusedExhaustsTheBudgetThenFails) {
