@@ -39,8 +39,11 @@
 // id; output is printed in input order and is bit-identical to running
 // `ursa_cc FILE ...` per file, at any worker count.
 //
-// Fault tolerance: a shed file is resent after a 10 ms pause, up to 100
-// sheds per batch. On a transport failure the batch re-queues every file
+// Fault tolerance: a shed halves the number of requests the batch keeps
+// in flight (each completion grows it back by one, up to the window), and
+// the shed file is resent after a backoff that starts at 5 ms and doubles
+// with each of its sheds up to 200 ms; a file shed 32 times fails with the
+// label "shed". On a transport failure the batch re-queues every file
 // the server provably never started — unsent files always; in-flight
 // files only when the connection closed cleanly before their responses
 // (a draining server flushes responses for admitted work first) —
@@ -54,6 +57,7 @@
 #include "obs/Stats.h"
 #include "service/Client.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -208,7 +212,13 @@ int main(int Argc, char **Argv) {
   size_t Remaining = Files.size();
   unsigned ReconnectsLeft = Retries;
   unsigned ReconnectRound = 0;
-  unsigned ShedRetries = 0;
+  // Shed handling: the in-flight limit adapts to what the server admits,
+  // and each file has its own shed budget and resend time.
+  unsigned SendWindow = Window;
+  constexpr unsigned MaxShedsPerFile = 32;
+  std::vector<unsigned> Sheds(Files.size(), 0);
+  std::vector<std::chrono::steady_clock::time_point> ResendAt(Files.size());
+  std::vector<const char *> FailKind(Files.size(), "transport");
 
   auto FailFile = [&](size_t I, const std::string &Why) {
     State[I] = FileState::Failed;
@@ -290,8 +300,11 @@ int main(int Argc, char **Argv) {
     }
 
     bool SendBroke = false;
-    while (!Pending.empty() && InFlight.size() < Window) {
+    while (!Pending.empty() && InFlight.size() < SendWindow) {
       size_t I = Pending.front();
+      if (State[I] == FileState::Unsent &&
+          std::chrono::steady_clock::now() < ResendAt[I])
+        break; // backing off after a shed
       Pending.pop_front();
       if (State[I] != FileState::Unsent)
         continue;
@@ -300,8 +313,13 @@ int main(int Argc, char **Argv) {
         break;
       }
     }
-    if (SendBroke || InFlight.empty())
+    if (SendBroke)
       continue;
+    if (InFlight.empty()) {
+      if (!Pending.empty())
+        std::this_thread::sleep_until(ResendAt[Pending.front()]);
+      continue;
+    }
 
     ServiceResponse Resp;
     bool Closed = false;
@@ -326,16 +344,23 @@ int main(int Argc, char **Argv) {
     }
     DropInFlight(InFlight, I);
     if (Resp.Status == ServiceResponse::StatusKind::Shed) {
-      // Momentary backpressure: ease off and resend this file.
-      if (++ShedRetries > 100) {
-        FailFile(I, "shed repeatedly, giving up");
+      // Backpressure: send less at once, and this file backs off and
+      // goes to the back of the queue.
+      SendWindow = std::max(1u, SendWindow / 2);
+      if (++Sheds[I] >= MaxShedsPerFile) {
+        FailKind[I] = "shed";
+        FailFile(I, "shed " + std::to_string(MaxShedsPerFile) +
+                        " times, giving up: " + Resp.Error);
         continue;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      ResendAt[I] = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(
+                        std::min(200u, 5u << std::min(Sheds[I] - 1, 6u)));
       State[I] = FileState::Unsent;
       Pending.push_back(I);
       continue;
     }
+    SendWindow = std::min(Window, SendWindow + 1);
     Results[I] = Resp;
     State[I] = FileState::Done;
     clientLatencyHistogram().record(
@@ -372,7 +397,7 @@ int main(int Argc, char **Argv) {
         continue;
       const char *Kind = State[I] == FileState::Done
                              ? statusName(Results[I].Status)
-                             : State[I] == FileState::Failed ? "transport"
+                             : State[I] == FileState::Failed ? FailKind[I]
                                                              : "unsent";
       const std::string &Why = State[I] == FileState::Done
                                    ? Results[I].Error

@@ -31,9 +31,9 @@
 //   --threads N           worker threads for proposal evaluation in the
 //                         URSA driver (default: URSA_THREADS, else 1);
 //                         results are identical across thread counts
-//   --beam K              beam width for the driver's transformation
-//                         search (default: URSA_BEAM, else 1 = the greedy
-//                         keep-one loop, bit-for-bit); see
+//   --beam K              live states the driver loop keeps per round
+//                         (default: URSA_BEAM, else 1 = the paper's
+//                         greedy keep-one-winner search); see
 //                         docs/PERFORMANCE.md
 //   --portfolio           race phase orderings + seeded tie-breaks and
 //                         keep the best allocation (URSA only)

@@ -20,7 +20,7 @@ using namespace ursa;
 using namespace ursa::obs;
 
 std::atomic<bool> obs::detail::TraceActive{false};
-thread_local SpanCollector *obs::detail::TlsCollector = nullptr;
+constinit thread_local SpanCollector *obs::detail::TlsCollector = nullptr;
 
 namespace {
 

@@ -48,7 +48,10 @@ class SpanCollector;
 
 namespace detail {
 extern std::atomic<bool> TraceActive;
-extern thread_local SpanCollector *TlsCollector;
+/// constinit: constant-initialized, so accesses from other translation
+/// units bind the variable directly instead of going through a TLS init
+/// wrapper (which ASan+UBSan builds resolved to null).
+extern constinit thread_local SpanCollector *TlsCollector;
 } // namespace detail
 
 /// Whether spans currently record (a trace file is open).

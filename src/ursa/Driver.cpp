@@ -57,15 +57,15 @@ URSA_STAT(StatIncrementalFallbacks, "ursa.driver.incremental.fallbacks",
           "proposal evaluations that fell back to a full rebuild while "
           "incremental measurement was enabled");
 URSA_STAT(StatBeamRounds, "ursa.driver.beam.rounds",
-          "beam expansion rounds (every live state scored)");
-URSA_STAT(StatBeamCandidates, "ursa.driver.beam.candidates",
-          "beam (state x proposal) candidates evaluated");
+          "driver rounds that admitted a successor (the MaxTotalRounds "
+          "unit)");
 URSA_STAT(StatBeamDedup, "ursa.driver.beam.dedup_hits",
-          "beam candidates dropped as duplicate dagFingerprints");
+          "candidates dropped for reaching a state already live in the "
+          "phase");
 URSA_STAT(StatBeamAdmitted, "ursa.driver.beam.admitted",
           "beam successors admitted into the live set");
 URSA_STAT(StatBeamRetired, "ursa.driver.beam.retired",
-          "beam states retired with no admissible successor");
+          "live states retired without an admitted successor");
 URSA_STAT(StatNoopSkipped, "ursa.driver.noop_proposals_skipped",
           "candidates excluded from the reduction because the transform "
           "left the DAG fingerprint unchanged (no-op proposals)");
@@ -289,12 +289,79 @@ static void guaranteedFitFallback(URSAResult &R, const MachineModel &M,
   }
 }
 
-/// The paper's greedy keep-one-winner loop (Section 5) — the historical
-/// driver, and the BeamWidth == 1 case of the beam search. Kept as its
-/// own function so the K == 1 contract ("bit-for-bit identical to
-/// greedy") is true by construction.
-static URSAResult runGreedy(DependenceDAG D, const MachineModel &M,
-                            const URSAOptions &Opts) {
+namespace {
+
+/// One live state of the search: a DAG with its measured state plus the
+/// path-local accounting that becomes the URSAResult if this state wins.
+struct BeamEntry {
+  DependenceDAG DAG;
+  /// Measurement of DAG. Null until the next round's gate builds it when
+  /// a delta-scored winner was not promoted, an apply did not reproduce
+  /// its evaluated state, or a fault hook struck.
+  std::shared_ptr<const State> S;
+  uint64_t Fp = 0;
+  unsigned Rounds = 0;
+  unsigned SeqEdgesAdded = 0;
+  unsigned SpillsInserted = 0;
+  unsigned Patience = 6;
+  std::vector<RoundRecord> RoundLog;
+
+  explicit BeamEntry(DependenceDAG DG) : DAG(std::move(DG)) {}
+};
+
+/// Sum of the per-resource requirements — the beam's secondary quality
+/// criterion, and exactly the registers+FUs metric the benches gate on.
+/// Proposals only exist while some excess remains, so two states with
+/// equal excess still differ in how much slack they leave behind.
+unsigned sumRequired(const State &S) {
+  unsigned T = 0;
+  for (const Measurement &Ms : S.Meas)
+    T += Ms.MaxRequired;
+  return T;
+}
+
+/// Strict-weak "is A a better live state than B" for beam ranking and
+/// final winner selection. Exact ties fall through to false so stable
+/// sorts keep insertion (state, proposal) order — part of the
+/// thread-count determinism contract.
+bool entryBetter(const BeamEntry &A, const BeamEntry &B) {
+  if (A.S->TotalExcess != B.S->TotalExcess)
+    return A.S->TotalExcess < B.S->TotalExcess;
+  unsigned RA = sumRequired(*A.S), RB = sumRequired(*B.S);
+  if (RA != RB)
+    return RA < RB;
+  if (A.S->CritPath != B.S->CritPath)
+    return A.S->CritPath < B.S->CritPath;
+  if (A.SpillsInserted != B.SpillsInserted)
+    return A.SpillsInserted < B.SpillsInserted;
+  return false;
+}
+
+/// A run's private measurement cache, sized by MeasurementCacheSize
+/// (ignored when the caller shares one through SharedCache).
+MeasurementCache privateCache(const URSAOptions &Opts) {
+  return MeasurementCache(Opts.MeasurementReuse,
+                          Opts.MeasurementCacheSize
+                              ? Opts.MeasurementCacheSize
+                              : defaultMeasurementCacheSize());
+}
+
+} // namespace
+
+/// The driver loop (paper Section 5), keeping the K best live states per
+/// round; K == 1 is the paper's greedy keep-one-winner loop. Each round
+/// gates every live state, tentatively applies every proposal of every
+/// state across the thread pool, and reduces the scores serially in
+/// (state, proposal) order, so results are bit-identical at any thread
+/// count. A successor is admissible when it changes the DAG, never
+/// worsens the total excess, and reaches a state not yet live in this
+/// phase. Slot 1 goes to the Score-best admissible successor of the open
+/// states; slots 2..K rank the open states' other successors by excess,
+/// then total required resources, then Score. The budget unit is the
+/// round that admits a successor, so at K == 1 MaxTotalRounds counts
+/// applied transformations.
+static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
+                            const URSAOptions &Opts, unsigned K) {
   URSA_SPAN(AllocSpan, "ursa.allocate", "driver");
   URSAResult R(std::move(D));
   const bool VerifyOn = Opts.Verify != VerifyLevel::None;
@@ -338,17 +405,15 @@ static URSAResult runGreedy(DependenceDAG D, const MachineModel &M,
   std::unique_ptr<ThreadPool> Pool;
   if (NumThreads > 1)
     Pool = std::make_unique<ThreadPool>(NumThreads);
-  MeasurementCache LocalCache(Opts.MeasurementReuse,
-                              Opts.MeasurementCacheSize
-                                  ? Opts.MeasurementCacheSize
-                                  : defaultMeasurementCacheSize());
+  MeasurementCache LocalCache = privateCache(Opts);
   MeasurementCache &Cache =
       Opts.SharedCache ? *Opts.SharedCache : LocalCache;
 
   auto StartTime = std::chrono::steady_clock::now();
+  unsigned Steps = 0; // rounds that admitted a successor
   enum class BudgetTrip { None, TotalRounds, Time };
   auto BudgetExceeded = [&]() {
-    if (R.Rounds >= Opts.MaxTotalRounds)
+    if (Steps >= Opts.MaxTotalRounds)
       return BudgetTrip::TotalRounds;
     if (Opts.TimeBudgetMs == 0)
       return BudgetTrip::None;
@@ -376,537 +441,24 @@ static URSAResult runGreedy(DependenceDAG D, const MachineModel &M,
   // sequencing shortened lifetimes); usually a no-op.
   Phases.push_back({true, true});
 
-  unsigned PrevSweepExcess;
-  {
-    std::shared_ptr<const State> S0 = Cache.get(R.DAG, M, Opts.Measure);
-    R.CritPathBefore = S0->CritPath;
-    PrevSweepExcess = S0->TotalExcess;
-  }
+  std::vector<BeamEntry> Beam;
+  Beam.emplace_back(std::move(R.DAG));
+  Beam[0].S = Cache.get(Beam[0].DAG, M, Opts.Measure);
+  Beam[0].Fp = dagFingerprint(Beam[0].DAG);
+  R.CritPathBefore = Beam[0].S->CritPath;
+  unsigned PrevSweepExcess = Beam[0].S->TotalExcess;
 
   // Outer fixpoint: a register round can disturb the functional-unit
   // phase's work and vice versa, so the phase list repeats until a whole
   // pass applies nothing (or the excess is gone). Bail stops transforming
   // — on a verification failure the DAG is corrupt and only diagnostics
-  // come back; on budget exhaustion or livelock the current (sound) state
+  // come back; on budget exhaustion or livelock the best (sound) state
   // proceeds to accounting and, optionally, the guaranteed-fit fallback.
   bool Bail = false;
   unsigned StaleSweeps = 0;
   for (unsigned Sweep = 0; Sweep != 4 && !Bail; ++Sweep) {
-  StatSweeps.add();
-  unsigned RoundsAtSweepStart = R.Rounds;
-  for (auto [DoRegs, DoFUs] : Phases) {
-    if (Bail)
-      break;
-    URSA_SPAN(PhaseSpan,
-              DoRegs && DoFUs ? "ursa.phase.integrated"
-              : DoRegs        ? "ursa.phase.regs"
-                              : "ursa.phase.fus",
-              "driver");
-    // Plateau patience: a round that keeps the excess flat can still set
-    // up the next reduction (wave edges), but only finitely many are
-    // tolerated before the residual is left to the assignment phase.
-    unsigned Patience = 6;
-    // Distinguishes the MaxRounds valve tripping from the usual breaks
-    // (converged, plateau, budget): only falling off the end of the loop
-    // leaves it set.
-    bool HitRoundCap = true;
-    for (unsigned Round = 0; Round < Opts.MaxRounds; ++Round) {
-      if (BudgetTrip Trip = BudgetExceeded(); Trip != BudgetTrip::None) {
-        R.BudgetExhausted = true;
-        if (Trip == BudgetTrip::TotalRounds) {
-          AddStop("max_total_rounds", StatStopMaxTotal);
-          AddDiag(Severity::Warning, "MaxTotalRounds budget exhausted; "
-                                     "leaving residual excess");
-        } else {
-          AddStop("time_budget", StatStopTimeBudget);
-          AddDiag(Severity::Warning, "TimeBudgetMs budget exhausted; "
-                                     "leaving residual excess");
-        }
-        Bail = true;
-        HitRoundCap = false;
-        break;
-      }
-      if (VerifyOn) {
-        Status St = verifyDAGStructure(R.DAG);
-        if (!St.isOk()) {
-          FailVerify(St);
-          Bail = true;
-          HitRoundCap = false;
-          break;
-        }
-      }
-      auto RoundStart = std::chrono::steady_clock::now();
-      std::shared_ptr<const State> SP = Cache.get(R.DAG, M, Opts.Measure);
-      const State &S = *SP;
-      std::vector<TransformProposal> Props =
-          collectProposals(R.DAG, S, DoRegs, DoFUs, Opts);
-      if (Props.empty()) {
-        HitRoundCap = false;
-        break;
-      }
-      if (Opts.TieBreakSeed)
-        shuffleProposals(Props, Opts.TieBreakSeed, R.Rounds);
-      StatProposalsTried.add(Props.size());
-      // Round-start fingerprint: the no-op filter below and the livelock
-      // cross-check after the apply both compare against it.
-      const uint64_t RoundFp = dagFingerprint(R.DAG);
-
-      // Tentatively apply each proposal to its own scratch copy and
-      // remeasure — the hot loop. Evaluations are independent (pure
-      // functions of R.DAG + the proposal; stats are relaxed atomics and
-      // spans are scoped per task behind a mutex-guarded buffer), so they
-      // fan out across the pool. Scoring happens inside the task; the
-      // pick happens in a serial reduction below, in proposal order, so
-      // the chosen Best is bit-identical to the serial evaluation.
-      //
-      // With IncrementalMeasure on, edge-only proposals are scored through
-      // the delta engine against the round-start state S: same canonical
-      // numbers (widths/excess/critical path), a fraction of the work. A
-      // delta-scored evaluation has no State to cache (SS stays null), so
-      // if it wins, the next round rebuilds once from R.DAG — one full
-      // build per round instead of 1 + P. Spills and unprovable deltas
-      // take the full path exactly as before.
-      struct Eval {
-        Score Sc{~0u, 0, ~0u, ~0u, ~0u, ~0u};
-        uint64_t Fp = 0; ///< fingerprint of the transformed scratch DAG
-        std::shared_ptr<const State> SS;
-        bool Diverged = false; ///< VerifyFull: delta != fresh rebuild
-      };
-      std::vector<Eval> Evals(Props.size());
-      std::unique_ptr<IncrementalMeasurer> Inc;
-      if (Opts.IncrementalMeasure)
-        Inc = std::make_unique<IncrementalMeasurer>(R.DAG, *S.A, S.Meas,
-                                                    S.Limits, Opts.Measure);
-      auto EvalOne = [&](size_t I) {
-        URSA_SPAN(EvalSpan, evalSpanName(Props[I].Kind), "transform");
-        DependenceDAG Scratch = R.DAG;
-        ApplyStats ScratchSt = applyTransform(Scratch, Props[I]);
-        bool IsSpill = Props[I].Kind == TransformProposal::Spill;
-        unsigned NewExcess = 0, NewCrit = 0;
-        std::shared_ptr<const State> SS;
-        DeltaMeasurement DM;
-        if (Inc && Inc->measureDelta(Scratch, Props[I], ScratchSt.Delta, DM)) {
-          StatIncrementalEvals.add();
-          NewExcess = DM.TotalExcess;
-          NewCrit = DM.CritPath;
-          if (VerifyFull) {
-            // The incremental contract: every delta-derived number must
-            // match a fresh rebuild bit for bit.
-            State Fresh(Scratch, M, Opts.Measure);
-            bool Same = Fresh.TotalExcess == DM.TotalExcess &&
-                        Fresh.CritPath == DM.CritPath &&
-                        Fresh.Meas.size() == DM.Required.size();
-            for (unsigned K = 0; Same && K != Fresh.Meas.size(); ++K)
-              Same = Fresh.Meas[K].MaxRequired == DM.Required[K];
-            Evals[I].Diverged = !Same;
-          }
-        } else {
-          if (Inc)
-            StatIncrementalFallbacks.add();
-          SS = std::make_shared<const State>(Scratch, M, Opts.Measure);
-          NewExcess = SS->TotalExcess;
-          NewCrit = SS->CritPath;
-        }
-        unsigned Cost =
-            (NewCrit > S.CritPath ? NewCrit - S.CritPath : 0) +
-            (IsSpill ? 2 : 0); // store+reload occupy FU slots
-        Evals[I].Sc =
-            Score{NewExcess,
-                  S.TotalExcess - std::min(S.TotalExcess, NewExcess),
-                  Cost,
-                  NewCrit,
-                  IsSpill ? 1u : 0u,
-                  unsigned(Props[I].SeqEdges.size())};
-        Evals[I].Fp = dagFingerprint(Scratch);
-        Evals[I].SS = std::move(SS);
-      };
-      if (Pool && Props.size() > 1) {
-        StatParallelEvalBatches.add();
-        Pool->parallelFor(Props.size(), EvalOne);
-      } else {
-        for (size_t I = 0; I != Props.size(); ++I)
-          EvalOne(I);
-      }
-
-      if (VerifyFull && Inc) {
-        bool AnyDiverged = false;
-        for (unsigned I = 0; I != Evals.size(); ++I)
-          if (Evals[I].Diverged) {
-            FailVerify(Status::error(
-                "allocate", "incremental measurement diverged from the "
-                            "full rebuild for proposal '" +
-                                Props[I].describe() + "'"));
-            AnyDiverged = true;
-          }
-        if (AnyDiverged) {
-          Bail = true;
-          HitRoundCap = false;
-          break;
-        }
-      }
-
-      // Keep the best never-worsening proposal (paper Section 5).
-      int Best = -1;
-      Score BestScore{~0u, 0, ~0u, ~0u, ~0u, ~0u};
-      for (unsigned I = 0; I != Props.size(); ++I) {
-        // A proposal whose edges were all already present applies nothing:
-        // adopting it would burn a round (or Patience) without changing
-        // the DAG, then re-propose itself next round — the fingerprint
-        // livelock detector never fired because the apply reports zero
-        // claimed progress. Filter such no-ops out of the reduction
-        // entirely; the fingerprint of the transformed scratch equals the
-        // round-start fingerprint exactly when nothing changed.
-        if (Evals[I].Fp == RoundFp) {
-          StatNoopSkipped.add();
-          continue;
-        }
-        const Score &Sc = Evals[I].Sc;
-        if (Sc.TotalExcess <= S.TotalExcess && Sc < BestScore) {
-          BestScore = Sc;
-          Best = int(I);
-        }
-      }
-      if (Best < 0) {
-        // Every proposal worsens; leave residual to assignment.
-        HitRoundCap = false;
-        break;
-      }
-      if (BestScore.TotalExcess == S.TotalExcess) {
-        // FU wave edges make monotonic progress (each round orders at
-        // least one previously parallel pair), so they ride on MaxRounds
-        // alone; other plateaus burn patience.
-        if (Props[Best].Kind != TransformProposal::FUSequence) {
-          if (Patience == 0) {
-            HitRoundCap = false;
-            break;
-          }
-          --Patience;
-        }
-      } else {
-        Patience = 6;
-      }
-
-      // Apply, cross-checking claimed progress against the actual DAG
-      // delta: a transform that says it changed something but didn't
-      // would re-propose itself forever (livelock by lying).
-      ApplyStats ASt;
-      bool FakedApply =
-          Opts.Faults && Opts.Faults->shouldFakeProgress(R.Rounds);
-      if (FakedApply)
-        ASt.EdgesAdded = unsigned(std::max<size_t>(
-            1, Props[Best].SeqEdges.size())); // claimed, never applied
-      else
-        ASt = applyTransform(R.DAG, Props[Best]);
-      // Adopt the winner's remeasure: applying the same proposal to
-      // R.DAG reproduces the scratch copy bit for bit, so the next
-      // round's start state (and the sweep-end/final accounting) comes
-      // from the cache instead of an O(n^2) rebuild. The fingerprint
-      // guard keeps a faked apply (FalseProgress injection) or a
-      // non-reproducing transform from planting a wrong entry.
-      const uint64_t FpAfter = dagFingerprint(R.DAG);
-      if (Opts.MeasurementReuse && Evals[Best].SS &&
-          FpAfter == Evals[Best].Fp) {
-        Cache.insert(Evals[Best].Fp, Evals[Best].SS);
-      } else if (Opts.MeasurementReuse && !Evals[Best].SS && !FakedApply &&
-                 FpAfter == Evals[Best].Fp) {
-        // Delta-scored winner: no full state was built for it, so promote
-        // it through its delta closure instead of letting the next round
-        // rebuild the O(n^2) reachability from scratch. buildIncremental
-        // is bit-identical to a fresh analysis (canonical closure), and
-        // the rest of the state (hammocks, measurements, excess) derives
-        // from it exactly as a from-scratch build would; the differential
-        // test in tests/incremental_test.cpp pins this. A nullptr (edge
-        // list not provably a pure delta against the applied DAG) just
-        // falls back to the old full rebuild on the next get(). Spill
-        // winners replay the journal the real apply just recorded —
-        // additions, removals, and appended nodes — through
-        // buildIncrementalDelta.
-        std::unique_ptr<DAGAnalysis> NA =
-            Props[Best].Kind == TransformProposal::Spill
-                ? DAGAnalysis::buildIncrementalDelta(R.DAG, *S.A, ASt.Delta)
-                : DAGAnalysis::buildIncremental(R.DAG, *S.A,
-                                                Props[Best].SeqEdges);
-        if (NA) {
-          StatIncrementalPromotions.add();
-          // Warm the remeasure from the round-start decomposition: the
-          // applied transform perturbs the reuse relations by a handful
-          // of pairs, so the row-direct matcher only repairs those
-          // instead of re-matching ~N pairs from scratch. Width stays
-          // canonical for any seed (Measure.h, WarmFrom).
-          MeasureOptions WarmMO = Opts.Measure;
-          WarmMO.WarmFrom = &S.Meas;
-          Cache.insert(FpAfter, std::make_shared<const State>(
-                                    R.DAG, M, WarmMO, std::move(NA)));
-        }
-      }
-      R.SeqEdgesAdded += ASt.EdgesAdded;
-      R.SpillsInserted += ASt.SpillsInserted;
-      ++R.Rounds;
-      StatRounds.add();
-      switch (Props[Best].Kind) {
-      case TransformProposal::FUSequence:
-        StatKeptFUSeq.add();
-        break;
-      case TransformProposal::RegSequence:
-        StatKeptRegSeq.add();
-        break;
-      case TransformProposal::Spill:
-        StatKeptSpill.add();
-        break;
-      }
-      {
-        RoundRecord RR;
-        RR.Round = R.Rounds;
-        RR.Kind = Props[Best].Kind;
-        RR.Resource = Props[Best].Res.describe();
-        RR.Detail = Props[Best].describe();
-        RR.ExcessBefore = S.TotalExcess;
-        RR.ExcessAfter = BestScore.TotalExcess;
-        RR.CritPath = BestScore.CritPath;
-        RR.EdgesAdded = ASt.EdgesAdded;
-        RR.SpillsInserted = ASt.SpillsInserted;
-        RR.ProposalsTried = unsigned(Props.size());
-        RR.DurationMs = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - RoundStart)
-                            .count();
-        R.RoundLog.push_back(std::move(RR));
-      }
-      if (VerifyOn && (ASt.EdgesAdded || ASt.SpillsInserted) &&
-          FpAfter == RoundFp) {
-        AddDiag(Severity::Error,
-                "transform '" + Props[Best].describe() +
-                    "' reported progress but left the DAG unchanged");
-        R.LivelockDetected = true;
-        AddStop("livelock", StatStopLivelock);
-        Bail = true;
-        HitRoundCap = false;
-        break;
-      }
-      // Armed DAG-corruption faults strike after a round, like a buggy
-      // in-place mutation would; the next round's gate must catch them.
-      if (Opts.Faults)
-        Opts.Faults->maybeInjectDAG(R.DAG, R.Rounds);
-    }
-    if (HitRoundCap) {
-      AddStop("max_rounds", StatStopMaxRounds);
-      AddDiag(Severity::Warning,
-              "MaxRounds safety valve tripped for a phase; leaving "
-              "residual excess");
-    }
-
-    // Phase boundary: the next phase (or the assignment) inherits this
-    // DAG — prove the hand-off.
-    if (!Bail && VerifyOn) {
-      Status St = verifyDAGStructure(R.DAG);
-      if (St.isOk() && VerifyFull) {
-        std::shared_ptr<const State> PB = Cache.get(R.DAG, M, Opts.Measure);
-        St.merge(verifyMeasurements(PB->Meas));
-      }
-      if (!St.isOk()) {
-        FailVerify(St);
-        Bail = true;
-      }
-    }
-  }
-  if (Bail)
-    break;
-
-  {
-    std::shared_ptr<const State> Check = Cache.get(R.DAG, M, Opts.Measure);
-    R.ClosureBytesPeak =
-        std::max(R.ClosureBytesPeak, Check->A->closureMemoryBytes());
-    if (Check->TotalExcess == 0 || R.Rounds == RoundsAtSweepStart)
-      break;
-    // Livelock detection: sweeps that keep applying transforms without
-    // reducing the total excess will not converge; two in a row and the
-    // residual goes to the assignment phase (or the fallback) instead.
-    if (Check->TotalExcess >= PrevSweepExcess) {
-      if (++StaleSweeps >= 2) {
-        R.LivelockDetected = true;
-        AddStop("livelock", StatStopLivelock);
-        AddDiag(Severity::Warning,
-                "livelock: consecutive sweeps applied transforms without "
-                "reducing total excess");
-        break;
-      }
-    } else {
-      StaleSweeps = 0;
-    }
-    PrevSweepExcess = Check->TotalExcess;
-  }
-  }
-
-  // A corrupt DAG supports no further measurement — return what we know.
-  if (R.VerifyFailed)
-    return R;
-
-  if (Opts.GuaranteedFit) {
-    std::shared_ptr<const State> Pre = Cache.get(R.DAG, M, Opts.Measure);
-    if (Pre->TotalExcess > 0) {
-      AddDiag(Severity::Note, "guaranteed-fit fallback: sequentializing "
-                              "and spilling the residual excess");
-      guaranteedFitFallback(R, M, Opts.Measure, Cache);
-    }
-  }
-
-  std::shared_ptr<const State> Final = Cache.get(R.DAG, M, Opts.Measure);
-  R.CritPathAfter = Final->CritPath;
-  R.WithinLimits = Final->TotalExcess == 0;
-  R.ClosureRepUsed = closureRepName(Final->A->closureRep());
-  R.ClosureBytesPeak =
-      std::max(R.ClosureBytesPeak, Final->A->closureMemoryBytes());
-  for (const Measurement &Ms : Final->Meas)
-    R.FinalRequired.push_back(Ms.MaxRequired);
-  return R;
-}
-
-namespace {
-
-/// One live state of the beam: a DAG with its measured state plus the
-/// path-local accounting that becomes the URSAResult if this state wins.
-struct BeamEntry {
-  DependenceDAG DAG;
-  std::shared_ptr<const State> S;
-  uint64_t Fp = 0;
-  unsigned Rounds = 0;
-  unsigned SeqEdgesAdded = 0;
-  unsigned SpillsInserted = 0;
-  unsigned Patience = 6;
-  std::vector<RoundRecord> RoundLog;
-
-  explicit BeamEntry(DependenceDAG DG) : DAG(std::move(DG)) {}
-};
-
-/// Sum of the per-resource requirements — the beam's secondary quality
-/// criterion, and exactly the registers+FUs metric the benches gate on.
-/// Proposals only exist while some excess remains, so two states with
-/// equal excess still differ in how much slack they leave behind.
-unsigned sumRequired(const State &S) {
-  unsigned T = 0;
-  for (const Measurement &Ms : S.Meas)
-    T += Ms.MaxRequired;
-  return T;
-}
-
-/// Strict-weak "is A a better live state than B" for beam ranking and
-/// final winner selection. Exact ties fall through to false so stable
-/// sorts keep insertion (state, proposal) order — part of the
-/// thread-count determinism contract.
-bool entryBetter(const BeamEntry &A, const BeamEntry &B) {
-  if (A.S->TotalExcess != B.S->TotalExcess)
-    return A.S->TotalExcess < B.S->TotalExcess;
-  unsigned RA = sumRequired(*A.S), RB = sumRequired(*B.S);
-  if (RA != RB)
-    return RA < RB;
-  if (A.S->CritPath != B.S->CritPath)
-    return A.S->CritPath < B.S->CritPath;
-  if (A.SpillsInserted != B.SpillsInserted)
-    return A.SpillsInserted < B.SpillsInserted;
-  return false;
-}
-
-} // namespace
-
-/// The beam-search driver (BeamWidth == K >= 2): the greedy loop's exact
-/// evaluation machinery — same proposals, same Score, same delta engine,
-/// same never-worsening rule — but keeping the top-K live states per
-/// round instead of one. States are deduplicated by dagFingerprint within
-/// each phase, every (state, proposal) candidate is scored across the
-/// thread pool, and the admission reduction runs serially in candidate
-/// order, so results are bit-identical at any thread count. The budget
-/// unit is the beam expansion round (all live states scored once), so
-/// MaxTotalRounds bounds wall-clock the same way it does for greedy.
-static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
-                                const URSAOptions &Opts, unsigned K) {
-  URSA_SPAN(AllocSpan, "ursa.allocate", "driver");
-  URSAResult R(std::move(D));
-  const bool VerifyOn = Opts.Verify != VerifyLevel::None;
-  const bool VerifyFull = Opts.Verify == VerifyLevel::Full;
-  auto AddDiag = [&R](Severity Sev, std::string Msg) {
-    R.Diags.push_back({Sev, "allocate", std::move(Msg)});
-  };
-  auto FailVerify = [&R](const Status &St) {
-    for (const Diag &Dg : St.diags())
-      R.Diags.push_back(Dg);
-    R.VerifyFailed = true;
-    if (std::find(R.StopReasons.begin(), R.StopReasons.end(),
-                  "verify_failed") == R.StopReasons.end())
-      R.StopReasons.push_back("verify_failed");
-  };
-  auto AddStop = [&R](const char *Reason, obs::Statistic &Counter) {
-    Counter.add();
-    if (std::find(R.StopReasons.begin(), R.StopReasons.end(), Reason) ==
-        R.StopReasons.end())
-      R.StopReasons.push_back(Reason);
-  };
-
-  if (VerifyOn) {
-    Status St = verifyDAGStructure(R.DAG);
-    if (!St.isOk()) {
-      FailVerify(St);
-      return R;
-    }
-  }
-
-  unsigned NumThreads =
-      Opts.Threads ? Opts.Threads : ThreadPool::defaultThreads();
-  std::unique_ptr<ThreadPool> Pool;
-  if (NumThreads > 1)
-    Pool = std::make_unique<ThreadPool>(NumThreads);
-  // K live start states plus their winning remeasures are all hot at
-  // once; make sure a private cache can hold them.
-  unsigned CacheSize = Opts.MeasurementCacheSize
-                           ? Opts.MeasurementCacheSize
-                           : defaultMeasurementCacheSize();
-  MeasurementCache LocalCache(Opts.MeasurementReuse,
-                              std::max(CacheSize, 2 * K + 2));
-  MeasurementCache &Cache =
-      Opts.SharedCache ? *Opts.SharedCache : LocalCache;
-
-  auto StartTime = std::chrono::steady_clock::now();
-  unsigned BeamSteps = 0; // expansion rounds — the MaxTotalRounds unit
-  enum class BudgetTrip { None, TotalRounds, Time };
-  auto BudgetExceeded = [&]() {
-    if (BeamSteps >= Opts.MaxTotalRounds)
-      return BudgetTrip::TotalRounds;
-    if (Opts.TimeBudgetMs == 0)
-      return BudgetTrip::None;
-    auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                  std::chrono::steady_clock::now() - StartTime)
-                  .count();
-    return Ms >= long(Opts.TimeBudgetMs) ? BudgetTrip::Time
-                                         : BudgetTrip::None;
-  };
-
-  std::vector<std::pair<bool, bool>> Phases; // (regs?, fus?)
-  switch (Opts.Order) {
-  case PhaseOrdering::RegistersFirst:
-    Phases = {{true, false}, {false, true}};
-    break;
-  case PhaseOrdering::FUsFirst:
-    Phases = {{false, true}, {true, false}};
-    break;
-  case PhaseOrdering::Integrated:
-    Phases = {{true, true}};
-    break;
-  }
-  Phases.push_back({true, true});
-
-  std::vector<BeamEntry> Beam;
-  {
-    BeamEntry E0(R.DAG);
-    E0.S = Cache.get(E0.DAG, M, Opts.Measure);
-    E0.Fp = dagFingerprint(E0.DAG);
-    R.CritPathBefore = E0.S->CritPath;
-    Beam.push_back(std::move(E0));
-  }
-  unsigned PrevSweepExcess = Beam.front().S->TotalExcess;
-
-  bool Bail = false;
-  unsigned StaleSweeps = 0;
-  for (unsigned Sweep = 0; Sweep != 4 && !Bail; ++Sweep) {
     StatSweeps.add();
-    unsigned StepsAtSweepStart = BeamSteps;
+    unsigned StepsAtSweepStart = Steps;
     for (auto [DoRegs, DoFUs] : Phases) {
       if (Bail)
         break;
@@ -915,19 +467,42 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
                 : DoRegs        ? "ursa.phase.regs"
                                 : "ursa.phase.fus",
                 "driver");
-      // Per-phase fingerprint dedup: every state that was ever live in
-      // this phase blocks re-admission, so the beam cannot cycle.
+      // Per-phase fingerprint set: every state that was ever live in this
+      // phase blocks re-admission, so the search cannot cycle. Plateau
+      // patience restarts with each phase.
       std::unordered_set<uint64_t> SeenFps;
       for (BeamEntry &E : Beam) {
         SeenFps.insert(E.Fp);
         E.Patience = 6;
       }
-      // States with no admissible successor retire from expansion but
-      // stay candidates for the phase-end ranking (a stuck state can
-      // still be the best allocation found).
+      // States with no admitted successor retire from expansion but stay
+      // candidates for the phase-end ranking (a stuck state can still be
+      // the best allocation found).
       std::vector<BeamEntry> Retired;
-      bool HitRoundCap = true;
-      for (unsigned Round = 0; Round < Opts.MaxRounds; ++Round) {
+      bool HitRoundCap = false;
+      for (unsigned Round = 0;; ++Round) {
+        // Round-start gate on every live state: prove the DAG sound before
+        // any analysis runs on it (a fault that struck after the previous
+        // round is caught here), then measure it if nothing has yet.
+        for (BeamEntry &E : Beam) {
+          if (VerifyOn) {
+            Status St = verifyDAGStructure(E.DAG);
+            if (!St.isOk()) {
+              FailVerify(St);
+              std::swap(E, Beam.front()); // the result reports this state
+              Bail = true;
+              break;
+            }
+          }
+          if (!E.S)
+            E.S = Cache.get(E.DAG, M, Opts.Measure);
+        }
+        if (Bail)
+          break;
+        if (Round == Opts.MaxRounds) {
+          HitRoundCap = true;
+          break;
+        }
         if (BudgetTrip Trip = BudgetExceeded(); Trip != BudgetTrip::None) {
           R.BudgetExhausted = true;
           if (Trip == BudgetTrip::TotalRounds) {
@@ -940,7 +515,6 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
                                        "leaving residual excess");
           }
           Bail = true;
-          HitRoundCap = false;
           break;
         }
         URSA_SPAN(RoundSpan, "ursa.beam.round", "driver");
@@ -948,7 +522,8 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
 
         // Flatten every live state's proposals into one candidate list;
         // (state, proposal) order is the determinism anchor everywhere
-        // below.
+        // below. Each state's shuffle ordinal is its applied-round count
+        // with the state index in the high bits.
         struct Cand {
           unsigned Parent;
           unsigned PropIdx;
@@ -956,27 +531,30 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
         std::vector<std::vector<TransformProposal>> Props(Beam.size());
         std::vector<Cand> Cands;
         for (unsigned P = 0; P != Beam.size(); ++P) {
-          if (Beam[P].S->TotalExcess == 0)
-            continue; // converged; rides along to the phase-end ranking
           Props[P] =
               collectProposals(Beam[P].DAG, *Beam[P].S, DoRegs, DoFUs, Opts);
           if (Opts.TieBreakSeed)
             shuffleProposals(Props[P], Opts.TieBreakSeed,
-                             (uint64_t(BeamSteps) << 8) | P);
+                             (uint64_t(P) << 32) | Beam[P].Rounds);
           for (unsigned I = 0; I != Props[P].size(); ++I)
             Cands.push_back({P, I});
         }
-        if (Cands.empty()) {
-          HitRoundCap = false;
+        if (Cands.empty())
           break;
-        }
-        ++BeamSteps;
-        StatBeamRounds.add();
-        StatBeamCandidates.add(Cands.size());
         StatProposalsTried.add(Cands.size());
 
-        // One delta engine per parent (shared across pool threads, the
-        // same way the greedy loop shares its single engine).
+        // Tentatively apply each candidate to its own scratch copy and
+        // remeasure — the hot loop. Evaluations are independent (pure
+        // functions of the parent DAG + the proposal; stats are relaxed
+        // atomics and spans are scoped per task behind a mutex-guarded
+        // buffer), so they fan out across the pool; the pick happens in
+        // the serial reduction below.
+        //
+        // With IncrementalMeasure on, edge-only proposals are scored
+        // through the delta engine against the parent's state (one engine
+        // per parent, shared across pool threads): same canonical numbers
+        // (widths/excess/critical path), a fraction of the work. Spills
+        // and unprovable deltas take the full rebuild.
         std::vector<std::unique_ptr<IncrementalMeasurer>> Inc(Beam.size());
         if (Opts.IncrementalMeasure)
           for (unsigned P = 0; P != Beam.size(); ++P)
@@ -987,10 +565,10 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
 
         struct CandEval {
           Score Sc{~0u, 0, ~0u, ~0u, ~0u, ~0u};
-          uint64_t Fp = 0;
+          uint64_t Fp = 0; ///< fingerprint of the transformed scratch DAG
           unsigned SumReq = ~0u;
-          std::shared_ptr<const State> SS;
-          bool Diverged = false;
+          std::shared_ptr<const State> SS; ///< null when delta-scored
+          bool Diverged = false; ///< VerifyFull: delta != fresh rebuild
         };
         std::vector<CandEval> Evals(Cands.size());
         auto EvalOne = [&](size_t CI) {
@@ -1012,6 +590,8 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
             for (unsigned W : DM.Required)
               NewSum += W;
             if (VerifyFull) {
+              // The incremental contract: every delta-derived number must
+              // match a fresh rebuild bit for bit.
               State Fresh(Scratch, M, Opts.Measure);
               bool Same = Fresh.TotalExcess == DM.TotalExcess &&
                           Fresh.CritPath == DM.CritPath &&
@@ -1030,7 +610,7 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
           }
           unsigned Cost =
               (NewCrit > Par.S->CritPath ? NewCrit - Par.S->CritPath : 0) +
-              (IsSpill ? 2 : 0);
+              (IsSpill ? 2 : 0); // store+reload occupy FU slots
           Evals[CI].Sc =
               Score{NewExcess,
                     Par.S->TotalExcess - std::min(Par.S->TotalExcess, NewExcess),
@@ -1051,7 +631,6 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
         }
 
         if (VerifyFull && Opts.IncrementalMeasure) {
-          bool AnyDiverged = false;
           for (unsigned CI = 0; CI != Evals.size(); ++CI)
             if (Evals[CI].Diverged) {
               FailVerify(Status::error(
@@ -1060,104 +639,154 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
                                   Props[Cands[CI].Parent][Cands[CI].PropIdx]
                                       .describe() +
                                   "'"));
-              AnyDiverged = true;
+              Bail = true;
             }
-          if (AnyDiverged) {
-            Bail = true;
-            HitRoundCap = false;
+          if (Bail)
             break;
-          }
         }
 
-        // Serial reduction, part 1: admissibility. The same rules as
-        // greedy, per parent — never worsen, skip no-ops, respect the
-        // plateau patience of the path — plus the phase-wide fingerprint
-        // dedup.
-        std::vector<unsigned> Order;
+        // Serial reduction, part 1: admissibility, and each state's best
+        // admissible successor by Score (first in proposal order on ties).
+        // A proposal whose fingerprint equals its parent's applied nothing
+        // — adopting it would burn a round without changing the DAG and
+        // then re-propose itself.
+        std::vector<int> BestOf(Beam.size(), -1);
+        std::vector<unsigned> Admissible;
         for (unsigned CI = 0; CI != unsigned(Cands.size()); ++CI) {
           const BeamEntry &Par = Beam[Cands[CI].Parent];
-          if (Evals[CI].Fp == Par.Fp) {
+          const CandEval &Ev = Evals[CI];
+          if (Ev.Fp == Par.Fp) {
             StatNoopSkipped.add();
             continue;
           }
-          const Score &Sc = Evals[CI].Sc;
-          if (Sc.TotalExcess > Par.S->TotalExcess)
+          if (Ev.Sc.TotalExcess > Par.S->TotalExcess)
             continue; // never worsen (paper Section 5)
-          const TransformProposal &Prop =
-              Props[Cands[CI].Parent][Cands[CI].PropIdx];
-          if (Sc.TotalExcess == Par.S->TotalExcess &&
-              Prop.Kind != TransformProposal::FUSequence && Par.Patience == 0)
-            continue; // this path's plateau patience is spent
-          if (SeenFps.count(Evals[CI].Fp)) {
+          if (SeenFps.count(Ev.Fp)) {
             StatBeamDedup.add();
             continue;
           }
-          Order.push_back(CI);
+          Admissible.push_back(CI);
+          int &B = BestOf[Cands[CI].Parent];
+          if (B < 0 || Ev.Sc < Evals[B].Sc)
+            B = int(CI);
         }
-        // Part 2: global ranking. Primary keys are the state-quality
+        // Plateau patience: a successor that keeps the excess flat can
+        // still set up the next reduction, but a path tolerates only
+        // finitely many. FU wave edges make monotonic progress (each
+        // orders at least one previously parallel pair), so they ride on
+        // MaxRounds alone. A state whose best successor is a plateau it
+        // has no patience left for is closed this round.
+        auto PatienceSpent = [&](unsigned CI) {
+          const BeamEntry &Par = Beam[Cands[CI].Parent];
+          return Evals[CI].Sc.TotalExcess == Par.S->TotalExcess &&
+                 Props[Cands[CI].Parent][Cands[CI].PropIdx].Kind !=
+                     TransformProposal::FUSequence &&
+                 Par.Patience == 0;
+        };
+        std::vector<bool> Open(Beam.size(), false);
+        int First = -1;
+        for (unsigned P = 0; P != Beam.size(); ++P) {
+          Open[P] = BestOf[P] >= 0 && !PatienceSpent(unsigned(BestOf[P]));
+          if (Open[P] && (First < 0 || Evals[BestOf[P]].Sc < Evals[First].Sc))
+            First = BestOf[P];
+        }
+        // Part 2: slot 1 is the Score-best successor of the open states —
+        // at K == 1, exactly the paper's greedy pick. Slots 2..K rank the
+        // open states' other admissible successors by the state-quality
         // criteria (excess, then total required — the bench metric), then
-        // the greedy Score as the tie-break; stable order falls back to
-        // (state, proposal) position.
-        std::stable_sort(Order.begin(), Order.end(),
-                         [&](unsigned X, unsigned Y) {
-                           const CandEval &A = Evals[X], &B = Evals[Y];
-                           if (A.Sc.TotalExcess != B.Sc.TotalExcess)
-                             return A.Sc.TotalExcess < B.Sc.TotalExcess;
-                           if (A.SumReq != B.SumReq)
-                             return A.SumReq < B.SumReq;
-                           if (A.Sc < B.Sc)
-                             return true;
-                           if (B.Sc < A.Sc)
-                             return false;
-                           return false;
-                         });
+        // Score; stable order falls back to (state, proposal) position.
+        std::vector<unsigned> Admit;
+        if (First >= 0) {
+          Admit.push_back(unsigned(First));
+          SeenFps.insert(Evals[First].Fp);
+          std::vector<unsigned> Rest;
+          for (unsigned CI : Admissible)
+            if (int(CI) != First && Open[Cands[CI].Parent] &&
+                !PatienceSpent(CI))
+              Rest.push_back(CI);
+          std::stable_sort(Rest.begin(), Rest.end(),
+                           [&](unsigned X, unsigned Y) {
+                             const CandEval &A = Evals[X], &B = Evals[Y];
+                             if (A.Sc.TotalExcess != B.Sc.TotalExcess)
+                               return A.Sc.TotalExcess < B.Sc.TotalExcess;
+                             if (A.SumReq != B.SumReq)
+                               return A.SumReq < B.SumReq;
+                             return A.Sc < B.Sc;
+                           });
+          for (unsigned CI : Rest) {
+            if (Admit.size() == K)
+              break;
+            if (SeenFps.insert(Evals[CI].Fp).second)
+              Admit.push_back(CI); // else an equal-fingerprint sibling won
+          }
+          ++Steps;
+          StatBeamRounds.add();
+        }
 
-        // Part 3: admit the top K distinct successors. Each one is
-        // reproduced by applying its proposal to the parent's DAG; the
-        // fingerprint must match the scratch evaluation bit for bit.
+        // Part 3: apply each admitted successor to its parent's DAG. A
+        // parent's last successor inherits its DAG and log, so a
+        // one-successor round copies neither.
+        std::vector<unsigned> ChildrenLeft(Beam.size(), 0);
+        for (unsigned CI : Admit)
+          ++ChildrenLeft[Cands[CI].Parent];
+        std::vector<bool> Expanded(Beam.size(), false);
         std::vector<BeamEntry> NewBeam;
-        std::vector<bool> ParentExpanded(Beam.size(), false);
-        for (unsigned CI : Order) {
-          if (NewBeam.size() >= K)
+        for (unsigned CI : Admit) {
+          if (Bail)
             break;
-          if (SeenFps.count(Evals[CI].Fp))
-            continue; // an equal-fingerprint sibling won earlier this round
           const unsigned P = Cands[CI].Parent;
           BeamEntry &Par = Beam[P];
           const TransformProposal &Prop = Props[P][Cands[CI].PropIdx];
+          const CandEval &Ev = Evals[CI];
           URSA_SPAN(StateSpan, "ursa.beam.state", "driver");
-          BeamEntry Next(Par.DAG);
-          ApplyStats ASt = applyTransform(Next.DAG, Prop);
+          const bool LastChild = --ChildrenLeft[P] == 0;
+          BeamEntry Next(LastChild ? std::move(Par.DAG) : Par.DAG);
+          Next.RoundLog =
+              LastChild ? std::move(Par.RoundLog) : Par.RoundLog;
+          ApplyStats ASt;
+          if (Opts.Faults && Opts.Faults->shouldFakeProgress(Par.Rounds))
+            ASt.EdgesAdded = unsigned(std::max<size_t>(
+                1, Prop.SeqEdges.size())); // claimed, never applied
+          else
+            ASt = applyTransform(Next.DAG, Prop);
           Next.Fp = dagFingerprint(Next.DAG);
-          if (Next.Fp != Evals[CI].Fp) {
-            // The transform did not reproduce its evaluated state — a
-            // non-deterministic apply. Drop the candidate; corrupt under
-            // verification.
+          if (VerifyOn && (ASt.EdgesAdded || ASt.SpillsInserted) &&
+              Next.Fp == Par.Fp) {
+            // A transform that says it changed something but didn't would
+            // re-propose itself forever (livelock by lying).
+            AddDiag(Severity::Error,
+                    "transform '" + Prop.describe() +
+                        "' reported progress but left the DAG unchanged");
+            R.LivelockDetected = true;
+            AddStop("livelock", StatStopLivelock);
+            Bail = true;
+            Next.S = Par.S;
+          } else if (Next.Fp != Ev.Fp) {
+            // The apply did not reproduce its evaluated state: corrupt
+            // under verification; otherwise the next round's gate measures
+            // what it did produce.
             if (VerifyOn) {
               FailVerify(Status::error(
                   "allocate", "transform '" + Prop.describe() +
                                   "' did not reproduce its evaluated state"));
               Bail = true;
-              break;
             }
-            continue;
-          }
-          if (VerifyOn) {
-            Status St = verifyDAGStructure(Next.DAG);
-            if (!St.isOk()) {
-              FailVerify(St);
-              Bail = true;
-              break;
-            }
-          }
-          if (Evals[CI].SS) {
-            if (Opts.MeasurementReuse)
-              Cache.insert(Next.Fp, Evals[CI].SS);
-            Next.S = Evals[CI].SS;
-          } else {
-            // Delta-scored winner: promote through its delta closure
-            // (PR 5's winner-promotion path), once per admitted state.
-            // Spill winners replay the journal the apply above recorded.
+          } else if (Ev.SS) {
+            // Adopt the winner's remeasure: the next round's start state
+            // (and the sweep-end/final accounting) comes from it instead
+            // of an O(n^2) rebuild.
+            Cache.insert(Next.Fp, Ev.SS);
+            Next.S = Ev.SS;
+          } else if (Opts.MeasurementReuse) {
+            // Delta-scored winner: no full state was built for it, so
+            // promote it through its delta closure instead of rebuilding
+            // the reachability from scratch. buildIncremental is
+            // bit-identical to a fresh analysis (canonical closure), and
+            // the rest of the state derives from it exactly as a
+            // from-scratch build would; tests/incremental_test.cpp pins
+            // this. Spill winners replay the journal the apply above
+            // recorded. A nullptr (not provably a pure delta) leaves the
+            // build to the next round's gate.
             std::unique_ptr<DAGAnalysis> NA =
                 Prop.Kind == TransformProposal::Spill
                     ? DAGAnalysis::buildIncrementalDelta(Next.DAG, *Par.S->A,
@@ -1166,26 +795,24 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
                                                     Prop.SeqEdges);
             if (NA) {
               StatIncrementalPromotions.add();
+              // Warm the remeasure from the parent's decomposition: the
+              // transform perturbs the reuse relations by a handful of
+              // pairs, so the row-direct matcher only repairs those. Width
+              // stays canonical for any seed (Measure.h, WarmFrom).
               MeasureOptions WarmMO = Opts.Measure;
-              WarmMO.WarmFrom = &Par.S->Meas; // seed from the parent state
-              auto NS = std::make_shared<const State>(Next.DAG, M, WarmMO,
-                                                      std::move(NA));
-              if (Opts.MeasurementReuse)
-                Cache.insert(Next.Fp, NS);
-              Next.S = std::move(NS);
-            } else {
-              Next.S = Cache.get(Next.DAG, M, Opts.Measure);
+              WarmMO.WarmFrom = &Par.S->Meas;
+              Next.S = std::make_shared<const State>(Next.DAG, M, WarmMO,
+                                                     std::move(NA));
+              Cache.insert(Next.Fp, Next.S);
             }
           }
           Next.Rounds = Par.Rounds + 1;
           Next.SeqEdgesAdded = Par.SeqEdgesAdded + ASt.EdgesAdded;
           Next.SpillsInserted = Par.SpillsInserted + ASt.SpillsInserted;
-          bool Plateau = Next.S->TotalExcess == Par.S->TotalExcess;
-          Next.Patience = !Plateau ? 6
+          Next.Patience = Ev.Sc.TotalExcess != Par.S->TotalExcess ? 6
                           : Prop.Kind == TransformProposal::FUSequence
                               ? Par.Patience
                               : Par.Patience - 1;
-          Next.RoundLog = Par.RoundLog;
           {
             RoundRecord RR;
             RR.Round = Next.Rounds;
@@ -1193,8 +820,8 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
             RR.Resource = Prop.Res.describe();
             RR.Detail = Prop.describe();
             RR.ExcessBefore = Par.S->TotalExcess;
-            RR.ExcessAfter = Next.S->TotalExcess;
-            RR.CritPath = Next.S->CritPath;
+            RR.ExcessAfter = Ev.Sc.TotalExcess;
+            RR.CritPath = Ev.Sc.CritPath;
             RR.EdgesAdded = ASt.EdgesAdded;
             RR.SpillsInserted = ASt.SpillsInserted;
             RR.ProposalsTried = unsigned(Cands.size());
@@ -1203,8 +830,7 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
                                 .count();
             Next.RoundLog.push_back(std::move(RR));
           }
-          SeenFps.insert(Next.Fp);
-          ParentExpanded[P] = true;
+          Expanded[P] = true;
           StatBeamAdmitted.add();
           StatRounds.add();
           switch (Prop.Kind) {
@@ -1218,24 +844,29 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
             StatKeptSpill.add();
             break;
           }
+          // Armed DAG-corruption faults strike after a round, like a buggy
+          // in-place mutation would; the next round's gate must catch them.
+          if (!Bail && Opts.Faults &&
+              Opts.Faults->maybeInjectDAG(Next.DAG, Next.Rounds)) {
+            Next.Fp = dagFingerprint(Next.DAG);
+            Next.S = nullptr;
+          }
           NewBeam.push_back(std::move(Next));
         }
-        if (Bail) {
-          HitRoundCap = false;
-          break;
-        }
         for (unsigned P = 0; P != Beam.size(); ++P)
-          if (!ParentExpanded[P]) {
+          if (!Expanded[P]) {
             StatBeamRetired.add();
             Retired.push_back(std::move(Beam[P]));
           }
-        if (NewBeam.empty()) {
-          Beam.clear();
-          HitRoundCap = false;
-          break;
-        }
         Beam = std::move(NewBeam);
+        if (Beam.empty())
+          break;
+        // A Bail raised above stops at the next round's gate, after the
+        // new states are verified and measured.
       } // rounds
+      // A corrupt state supports no ranking; it is reported as it stands.
+      if (R.VerifyFailed)
+        break;
       if (HitRoundCap) {
         AddStop("max_rounds", StatStopMaxRounds);
         AddDiag(Severity::Warning,
@@ -1251,7 +882,7 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
         Beam.erase(Beam.begin() + K, Beam.end());
       // Phase boundary: prove the hand-off on the front-runner (the state
       // the next phase — or the assignment — inherits).
-      if (!Bail && VerifyOn && !Beam.empty()) {
+      if (!Bail && VerifyOn) {
         Status St = verifyDAGStructure(Beam.front().DAG);
         if (St.isOk() && VerifyFull)
           St.merge(verifyMeasurements(Beam.front().S->Meas));
@@ -1264,37 +895,39 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
     if (Bail)
       break;
 
-    {
-      unsigned BestExcess =
-          Beam.empty() ? 0u : Beam.front().S->TotalExcess;
-      if (BestExcess == 0 || BeamSteps == StepsAtSweepStart)
+    const State &Front = *Beam.front().S;
+    R.ClosureBytesPeak =
+        std::max(R.ClosureBytesPeak, Front.A->closureMemoryBytes());
+    if (Front.TotalExcess == 0 || Steps == StepsAtSweepStart)
+      break;
+    // Livelock detection: sweeps that keep applying transforms without
+    // reducing the total excess will not converge; two in a row and the
+    // residual goes to the assignment phase (or the fallback) instead.
+    if (Front.TotalExcess >= PrevSweepExcess) {
+      if (++StaleSweeps >= 2) {
+        R.LivelockDetected = true;
+        AddStop("livelock", StatStopLivelock);
+        AddDiag(Severity::Warning,
+                "livelock: consecutive sweeps applied transforms without "
+                "reducing total excess");
         break;
-      if (BestExcess >= PrevSweepExcess) {
-        if (++StaleSweeps >= 2) {
-          R.LivelockDetected = true;
-          AddStop("livelock", StatStopLivelock);
-          AddDiag(Severity::Warning,
-                  "livelock: consecutive sweeps applied transforms without "
-                  "reducing total excess");
-          break;
-        }
-      } else {
-        StaleSweeps = 0;
       }
-      PrevSweepExcess = BestExcess;
+    } else {
+      StaleSweeps = 0;
     }
+    PrevSweepExcess = Front.TotalExcess;
   } // sweeps
 
-  if (!Beam.empty()) {
-    std::stable_sort(Beam.begin(), Beam.end(), entryBetter);
-    BeamEntry &W = Beam.front();
-    R.DAG = std::move(W.DAG);
-    R.Rounds = W.Rounds;
-    R.SeqEdgesAdded = W.SeqEdgesAdded;
-    R.SpillsInserted = W.SpillsInserted;
-    R.RoundLog = std::move(W.RoundLog);
-  }
+  // The winner: the front-runner of the last ranking, or the state that
+  // failed verification.
+  BeamEntry &W = Beam.front();
+  R.DAG = std::move(W.DAG);
+  R.Rounds = W.Rounds;
+  R.SeqEdgesAdded = W.SeqEdgesAdded;
+  R.SpillsInserted = W.SpillsInserted;
+  R.RoundLog = std::move(W.RoundLog);
 
+  // A corrupt DAG supports no further measurement — return what we know.
   if (R.VerifyFailed)
     return R;
 
@@ -1329,11 +962,7 @@ static URSAResult runBeamSearch(DependenceDAG D, const MachineModel &M,
 static URSAResult runPortfolio(DependenceDAG D, const MachineModel &M,
                                const URSAOptions &Opts, unsigned K) {
   URSA_SPAN(PortSpan, "ursa.portfolio", "driver");
-  unsigned CacheSize = Opts.MeasurementCacheSize
-                           ? Opts.MeasurementCacheSize
-                           : defaultMeasurementCacheSize();
-  MeasurementCache LocalCache(Opts.MeasurementReuse,
-                              std::max(CacheSize, 4 * K + 8));
+  MeasurementCache LocalCache = privateCache(Opts);
   MeasurementCache &Cache =
       Opts.SharedCache ? *Opts.SharedCache : LocalCache;
 
@@ -1412,8 +1041,7 @@ static URSAResult runPortfolio(DependenceDAG D, const MachineModel &M,
     if (Opts.TimeBudgetMs)
       RO.TimeBudgetMs = unsigned(std::max<long>(1, Left));
     DependenceDAG DC = D; // every racer starts from the pristine input
-    URSAResult Ri = K > 1 ? runBeamSearch(std::move(DC), M, RO, K)
-                          : runGreedy(std::move(DC), M, RO);
+    URSAResult Ri = runDriver(std::move(DC), M, RO, K);
     StatPortfolioRuns.add();
     if (!BestR) {
       BestR = std::make_unique<URSAResult>(std::move(Ri));
@@ -1428,15 +1056,7 @@ static URSAResult runPortfolio(DependenceDAG D, const MachineModel &M,
 URSAResult ursa::runURSA(DependenceDAG D, const MachineModel &M,
                          const URSAOptions &Opts) {
   unsigned K = Opts.BeamWidth ? Opts.BeamWidth : defaultBeamWidth();
-  if (!K)
-    K = 1;
-  // Fault-injection contracts (ursa/FaultInjector.h) are defined on the
-  // serial-recoverable keep-one loop; armed injectors force it.
-  if (Opts.Faults)
-    return runGreedy(std::move(D), M, Opts);
   if (Opts.Portfolio)
     return runPortfolio(std::move(D), M, Opts, K);
-  if (K > 1)
-    return runBeamSearch(std::move(D), M, Opts, K);
-  return runGreedy(std::move(D), M, Opts);
+  return runDriver(std::move(D), M, Opts, K);
 }

@@ -92,16 +92,17 @@ struct URSAOptions {
   /// ursa.driver.measure_cache.evictions tells when 4 is too small.
   /// Ignored when SharedCache is set (the owner sized it).
   unsigned MeasurementCacheSize = 0;
-  /// Beam width K for the transformation search. 1 = the paper's greedy
-  /// keep-one-winner loop (the historical driver, bit-for-bit). K > 1
-  /// keeps the top-K live states per round, deduplicated by
-  /// dagFingerprint: every round scores all beam x proposals candidates
-  /// across the thread pool, reduces them serially in (state, proposal)
-  /// order — so results stay bit-identical at any thread count — and
-  /// admits the K best never-worsening successors; the best final state
-  /// wins. 0 resolves through URSA_BEAM (default 1). Fault-injection
-  /// hooks (Faults) force the greedy path: their contracts are defined on
-  /// the serial-recoverable keep-one loop.
+  /// Beam width K: how many live states the one driver loop keeps per
+  /// round. Every round scores all states x proposals candidates across
+  /// the thread pool and reduces them serially in (state, proposal)
+  /// order, so results stay bit-identical at any thread count. A
+  /// successor is admissible when it changes the DAG, never worsens the
+  /// total excess, and reaches a state not yet live in this phase. Slot 1
+  /// goes to the Score-best admissible successor of the states whose
+  /// plateau patience allows it — at K = 1 this is the paper's greedy
+  /// keep-one-winner loop; slots 2..K take the other successors with the
+  /// least excess, then the fewest total required resources. The best
+  /// final state wins. 0 resolves through URSA_BEAM (default 1).
   unsigned BeamWidth = 0;
   /// Race independent driver instances over phase orderings
   /// (register-first, FU-first, integrated) plus seeded tie-break
@@ -128,9 +129,10 @@ struct URSAOptions {
   /// Safety valve; each round must reduce total excess, so this is
   /// rarely reached.
   unsigned MaxRounds = 128;
-  /// Hard budget on applied rounds across all phases and sweeps. The
-  /// default exceeds the worst legitimate case (sweeps * phases *
-  /// MaxRounds), so it only fires on livelocked or faulty runs.
+  /// Hard budget on rounds that admit a successor, across all phases and
+  /// sweeps (at BeamWidth 1, applied transformations). The default
+  /// exceeds the worst legitimate case (sweeps * phases * MaxRounds), so
+  /// it only fires on livelocked or faulty runs.
   unsigned MaxTotalRounds = 2048;
   /// Wall-clock budget in milliseconds; 0 = unlimited. When exceeded the
   /// driver stops transforming and (with GuaranteedFit) falls back.
@@ -145,6 +147,8 @@ struct URSAOptions {
   /// residues to the assignment phase.
   bool GuaranteedFit = false;
   /// Testing hook: an armed fault injector (see ursa/FaultInjector.h).
+  /// Its hooks run in the serial part of every round, on each admitted
+  /// successor, at any BeamWidth and thread count.
   FaultInjector *Faults = nullptr;
   /// Ablation switches (X4): restrict the register transformations to
   /// sequencing only or spilling only.

@@ -74,14 +74,18 @@ public:
     return *this;
   }
 
-  /// Driver hook, called once per applied round with the live DAG.
-  /// DAG-corrupting kinds fire once when \p Round reaches the armed
-  /// round; returns true when a fault was injected.
+  /// Driver hook, called after every applied round with the successor's
+  /// DAG and its applied-round count \p Round (at BeamWidth K, once per
+  /// admitted successor). DAG-corrupting kinds fire once when \p Round
+  /// reaches the armed round; the driver's next round-start gate must
+  /// catch them. Returns true when a fault was injected.
   bool maybeInjectDAG(DependenceDAG &D, unsigned Round);
 
-  /// Driver hook for FalseProgress: true when the driver should pretend
-  /// the chosen transform was applied. Fires persistently from the armed
-  /// round on, modelling a buggy transform, not a one-off glitch.
+  /// Driver hook for FalseProgress, asked before each admitted successor
+  /// is applied, with its parent's applied-round count: true when the
+  /// driver should pretend the transform was applied. Fires persistently
+  /// from the armed round on, modelling a buggy transform, not a one-off
+  /// glitch.
   bool shouldFakeProgress(unsigned Round);
 
   //===--- Direct corruption helpers (unit tests) -------------------------===//

@@ -4,10 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The beam-search driver's contracts: BeamWidth=1 reproduces the greedy
-// keep-one loop bit-for-bit (same RoundLog, same FinalRequired, at any
-// thread count), wider beams are bit-identical across thread counts and
-// repeat runs, never leave more excess than greedy, and portfolio mode —
+// The driver loop's contracts above BeamWidth 1 (width 1 against the
+// greedy loop's recorded outcomes is tests/driver_golden_test.cpp): wider
+// beams are bit-identical across thread counts and repeat runs and, on
+// this corpus, never leave more excess than greedy; portfolio mode —
 // which races the default ordering as one of its racers — can only match
 // or beat the greedy allocation. The TieBreakSeed permutation tests pin
 // the plateau-adoption fix: a shuffled proposal list must never livelock
@@ -120,19 +120,6 @@ uint64_t statValue(const char *Name) {
 
 } // namespace
 
-TEST(Beam, WidthOneIsGreedyBitForBit) {
-  // The headline differential: --beam 1 must reproduce the greedy driver
-  // byte-for-byte over the whole corpus, serial and threaded.
-  for (const Case &C : corpus()) {
-    URSAResult Greedy = run(C, /*Beam=*/0, /*Threads=*/1);
-    for (unsigned Threads : {1u, 4u}) {
-      URSAResult K1 = run(C, /*Beam=*/1, Threads);
-      expectIdentical(K1, Greedy,
-                      C.Name + " threads=" + std::to_string(Threads));
-    }
-  }
-}
-
 TEST(Beam, BitIdenticalAcrossThreadCounts) {
   for (const Case &C : corpus()) {
     URSAResult Serial = run(C, /*Beam=*/4, /*Threads=*/1);
@@ -150,8 +137,11 @@ TEST(Beam, RepeatRunsAreDeterministic) {
 }
 
 TEST(Beam, NeverWorseThanGreedyOnExcess) {
-  // The beam keeps greedy's winner in its candidate pool every round, so
-  // its best final state can never carry more over-limit excess.
+  // Not a theorem: slot 1 of every round is the greedy pick of the beam's
+  // open states, but once the beam's states differ from greedy's path, a
+  // wider beam can end with more excess (at K = 2 it does on some random
+  // traces outside this corpus). On this corpus K = 4 never does; the
+  // check pins that.
   for (const Case &C : corpus()) {
     URSAResult Greedy = run(C, /*Beam=*/0, /*Threads=*/1);
     URSAResult Beam = run(C, /*Beam=*/4, /*Threads=*/1);
@@ -180,7 +170,6 @@ TEST(Beam, ExportsBeamStats) {
   URSAResult R = runURSA(buildDAG(figure2Trace()), M, O);
   EXPECT_GT(R.Rounds, 0u);
   EXPECT_GT(statValue("ursa.driver.beam.rounds"), 0u);
-  EXPECT_GT(statValue("ursa.driver.beam.candidates"), 0u);
   EXPECT_GT(statValue("ursa.driver.beam.admitted"), 0u);
 }
 

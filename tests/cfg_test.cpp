@@ -160,8 +160,9 @@ TEST(TraceFormation, TransfersLandOnHeads) {
     for (const TraceExit &E : FT.SideExits)
       EXPECT_GE(TS.HeadTraceOf[E.TargetBlock], 0)
           << "side exit into the middle of a trace";
-    if (FT.FallthroughBlock >= 0)
+    if (FT.FallthroughBlock >= 0) {
       EXPECT_GE(TS.HeadTraceOf[unsigned(FT.FallthroughBlock)], 0);
+    }
   }
   // Entry heads its trace.
   EXPECT_GE(TS.HeadTraceOf[0], 0);

@@ -58,11 +58,13 @@ TEST(Driver, TightMachineForcesTransformsAndBoundsResidual) {
     // can leave one extra register of certified residual on a 4-register
     // machine; the assignment phase absorbs it.
     EXPECT_LE(R.FinalRequired[1], 4u + 3u) << Name << ": residual too big";
-    if (Before[1].MaxRequired > 4)
+    if (Before[1].MaxRequired > 4) {
       EXPECT_LT(R.FinalRequired[1], Before[1].MaxRequired)
           << Name << ": registers must improve";
-    if (T.size() > 10)
+    }
+    if (T.size() > 10) {
       EXPECT_GT(R.Rounds, 0u) << Name;
+    }
   }
 }
 

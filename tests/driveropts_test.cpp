@@ -76,10 +76,11 @@ TEST(DriverOptions, TimeBudgetTripIsRecorded) {
   // A zero-length budget cannot be met; the driver must say so rather
   // than stop quietly. Spin until the first budget check fires.
   URSAResult R = runURSA(buildDAG(figure2Trace()), M, UO);
-  if (R.BudgetExhausted)
+  if (R.BudgetExhausted) {
     EXPECT_NE(std::find(R.StopReasons.begin(), R.StopReasons.end(),
                         "time_budget"),
               R.StopReasons.end());
+  }
 }
 
 TEST(DriverOptions, ExactKillSolverWorksEndToEnd) {

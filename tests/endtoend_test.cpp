@@ -38,8 +38,8 @@ void PrintTo(const MachineCase &C, std::ostream *OS) {
 
 class DifferentialTest : public ::testing::TestWithParam<MachineCase> {};
 
-void expectMatch(const Trace &T, const MachineModel &M,
-                 const CompileResult &R, const std::string &Tag) {
+void expectMatch(const Trace &T, const CompileResult &R,
+                 const std::string &Tag) {
   ASSERT_TRUE(R.Ok) << Tag << ": " << R.Error;
   ASSERT_TRUE(R.Prog.has_value()) << Tag;
   RNG InputRng(0xABCDEF ^ T.size());
@@ -56,12 +56,10 @@ TEST_P(DifferentialTest, KernelsAllPipelines) {
   MachineCase MC = GetParam();
   MachineModel M = MachineModel::homogeneous(MC.Fus, MC.Regs);
   for (auto &[Name, T] : kernelSuite()) {
-    expectMatch(T, M, compilePrepass(T, M), Name + std::string("/prepass"));
-    expectMatch(T, M, compilePostpass(T, M), Name + std::string("/postpass"));
-    expectMatch(T, M, compileIntegrated(T, M),
-                Name + std::string("/integrated"));
-    expectMatch(T, M, compileURSA(T, M).Compile,
-                Name + std::string("/ursa"));
+    expectMatch(T, compilePrepass(T, M), Name + std::string("/prepass"));
+    expectMatch(T, compilePostpass(T, M), Name + std::string("/postpass"));
+    expectMatch(T, compileIntegrated(T, M), Name + std::string("/integrated"));
+    expectMatch(T, compileURSA(T, M).Compile, Name + std::string("/ursa"));
   }
 }
 
@@ -77,10 +75,10 @@ TEST_P(DifferentialTest, RandomTracesAllPipelines) {
     Opts.Seed = Seed * 977 + MC.Fus;
     Trace T = generateTrace(Opts);
     std::string Tag = "seed " + std::to_string(Opts.Seed);
-    expectMatch(T, M, compilePrepass(T, M), Tag + "/prepass");
-    expectMatch(T, M, compilePostpass(T, M), Tag + "/postpass");
-    expectMatch(T, M, compileIntegrated(T, M), Tag + "/integrated");
-    expectMatch(T, M, compileURSA(T, M).Compile, Tag + "/ursa");
+    expectMatch(T, compilePrepass(T, M), Tag + "/prepass");
+    expectMatch(T, compilePostpass(T, M), Tag + "/postpass");
+    expectMatch(T, compileIntegrated(T, M), Tag + "/integrated");
+    expectMatch(T, compileURSA(T, M).Compile, Tag + "/ursa");
   }
 }
 
@@ -127,8 +125,9 @@ TEST(EndToEnd, URSAFitsAssignmentWithoutExtraSpillsWhenWithinLimits) {
   for (auto &[Name, T] : kernelSuite()) {
     URSACompileResult R = compileURSA(T, M);
     ASSERT_TRUE(R.Compile.Ok) << Name;
-    if (R.AllocWithinLimits)
+    if (R.AllocWithinLimits) {
       EXPECT_EQ(R.Compile.AssignSpillRounds, 0u) << Name;
+    }
   }
 }
 

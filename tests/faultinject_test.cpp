@@ -29,12 +29,17 @@ namespace {
 /// several transformation rounds, which gives the injector a window.
 const MachineModel TightM = MachineModel::homogeneous(2, 3);
 
-URSAOptions verifiedOpts(FaultInjector *FI) {
+URSAOptions verifiedOpts(FaultInjector *FI, unsigned Beam = 1) {
   URSAOptions Opts;
   Opts.Verify = VerifyLevel::Basic;
   Opts.Faults = FI;
+  Opts.BeamWidth = Beam;
   return Opts;
 }
+
+/// The driver cases hold at the greedy width and at a wide beam: the
+/// hooks run on every admitted successor of the one driver loop.
+const unsigned BeamWidths[] = {1, 4};
 
 bool hasError(const std::vector<Diag> &Diags, const std::string &Needle) {
   for (const Diag &D : Diags)
@@ -47,42 +52,58 @@ bool hasError(const std::vector<Diag> &Diags, const std::string &Needle) {
 } // namespace
 
 TEST(FaultMatrix, CycleInjectionCaughtByDriver) {
-  FaultInjector FI(FaultKind::CycleEdge, /*Seed=*/7, /*FireAtRound=*/1);
-  URSAResult R = runURSA(buildDAG(figure2Trace()), TightM, verifiedOpts(&FI));
-  ASSERT_TRUE(FI.fired()) << "no round ever ran, fault never armed";
-  EXPECT_TRUE(R.VerifyFailed);
-  EXPECT_TRUE(hasError(R.Diags, "cycle")) << "diags: " << R.Diags.size();
-  EXPECT_TRUE(R.FinalRequired.empty()) << "corrupt DAG must not be measured";
+  for (unsigned Beam : BeamWidths) {
+    SCOPED_TRACE("beam " + std::to_string(Beam));
+    FaultInjector FI(FaultKind::CycleEdge, /*Seed=*/7, /*FireAtRound=*/1);
+    URSAResult R =
+        runURSA(buildDAG(figure2Trace()), TightM, verifiedOpts(&FI, Beam));
+    ASSERT_TRUE(FI.fired()) << "no round ever ran, fault never armed";
+    EXPECT_TRUE(R.VerifyFailed);
+    EXPECT_TRUE(hasError(R.Diags, "cycle")) << "diags: " << R.Diags.size();
+    EXPECT_TRUE(R.FinalRequired.empty()) << "corrupt DAG must not be measured";
+  }
 }
 
 TEST(FaultMatrix, DanglingEdgeInjectionCaughtByDriver) {
-  FaultInjector FI(FaultKind::DanglingEdge, 7, 1);
-  URSAResult R = runURSA(buildDAG(figure2Trace()), TightM, verifiedOpts(&FI));
-  ASSERT_TRUE(FI.fired());
-  EXPECT_TRUE(R.VerifyFailed);
-  EXPECT_TRUE(hasError(R.Diags, "dangling"));
+  for (unsigned Beam : BeamWidths) {
+    SCOPED_TRACE("beam " + std::to_string(Beam));
+    FaultInjector FI(FaultKind::DanglingEdge, 7, 1);
+    URSAResult R =
+        runURSA(buildDAG(figure2Trace()), TightM, verifiedOpts(&FI, Beam));
+    ASSERT_TRUE(FI.fired());
+    EXPECT_TRUE(R.VerifyFailed);
+    EXPECT_TRUE(hasError(R.Diags, "dangling"));
+  }
 }
 
 TEST(FaultMatrix, FalseProgressDetectedAsLivelock) {
-  FaultInjector FI(FaultKind::FalseProgress, 7, 0);
-  URSAResult R = runURSA(buildDAG(figure2Trace()), TightM, verifiedOpts(&FI));
-  ASSERT_TRUE(FI.fired());
-  EXPECT_TRUE(R.LivelockDetected);
-  EXPECT_FALSE(R.VerifyFailed) << "the DAG itself is sound";
-  EXPECT_TRUE(hasError(R.Diags, "reported progress"));
-  EXPECT_EQ(R.Rounds, 1u) << "the lying transform must not loop";
+  for (unsigned Beam : BeamWidths) {
+    SCOPED_TRACE("beam " + std::to_string(Beam));
+    FaultInjector FI(FaultKind::FalseProgress, 7, 0);
+    URSAResult R =
+        runURSA(buildDAG(figure2Trace()), TightM, verifiedOpts(&FI, Beam));
+    ASSERT_TRUE(FI.fired());
+    EXPECT_TRUE(R.LivelockDetected);
+    EXPECT_FALSE(R.VerifyFailed) << "the DAG itself is sound";
+    EXPECT_TRUE(hasError(R.Diags, "reported progress"));
+    EXPECT_EQ(R.Rounds, 1u) << "the lying transform must not loop";
+  }
 }
 
 TEST(FaultMatrix, DroppedSequenceEdgeIsHealedByTheFixpoint) {
   // Un-doing allocation work behind the driver's back leaves a *valid*
   // DAG, so the verifier stays quiet — but the sweep loop re-measures and
   // re-does the work, and the result still fits and still runs right.
-  FaultInjector FI(FaultKind::DropSeqEdge, 7, 1);
-  URSAOptions Opts = verifiedOpts(&FI);
-  Opts.Verify = VerifyLevel::Full;
-  URSACompileResult R = compileURSA(figure2Trace(), TightM, Opts);
-  EXPECT_FALSE(R.VerifyFailed);
-  ASSERT_TRUE(R.Compile.Ok) << R.Compile.Error;
+  for (unsigned Beam : BeamWidths) {
+    SCOPED_TRACE("beam " + std::to_string(Beam));
+    FaultInjector FI(FaultKind::DropSeqEdge, 7, 1);
+    URSAOptions Opts = verifiedOpts(&FI, Beam);
+    Opts.Verify = VerifyLevel::Full;
+    URSACompileResult R = compileURSA(figure2Trace(), TightM, Opts);
+    ASSERT_TRUE(FI.fired());
+    EXPECT_FALSE(R.VerifyFailed);
+    ASSERT_TRUE(R.Compile.Ok) << R.Compile.Error;
+  }
 }
 
 TEST(FaultMatrix, CompileURSAReturnsDiagnosticsInsteadOfCrashing) {

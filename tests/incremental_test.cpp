@@ -246,11 +246,12 @@ TEST(WarmStart, WidthMatchesColdDecomposition) {
       // The FU relation is the closure restricted to the active set, so
       // the raw closure must give the same width (rows may carry inactive
       // bits; the matcher masks them).
-      if (Kind == ResourceId::FU)
+      if (Kind == ResourceId::FU) {
         EXPECT_EQ(chainWidthWarmStart(MutA.reachabilityClosure(),
                                       Fresh.Reuse.Active, Base.Chains),
                   Fresh.MaxRequired)
             << "seed " << Seed;
+      }
 
       // Degenerate warm starts: an empty decomposition (cold start) and
       // the fresh decomposition itself (every pair survives).
@@ -568,9 +569,10 @@ TEST(DriverIncremental, CacheSizeChangesNothingButEvictions) {
   URSAOptions Tiny;
   Tiny.MeasurementCacheSize = 1;
   expectSameResult(runURSA(D, M, Tiny), Ref, "cache size 1 vs 8");
-  if (!Ref.RoundLog.empty())
+  if (!Ref.RoundLog.empty()) {
     EXPECT_GT(statValue("ursa.driver.measure_cache.evictions"), Evict0)
         << "a one-entry cache must evict on a transforming run";
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -136,8 +136,9 @@ TEST(RegAssign, SucceedsWithAmpleRegisters) {
       };
       auto [L1, H1] = Range(I, VI);
       auto [L2, H2] = Range(J, VJ);
-      if (L1 < H2 && L2 < H1) // strict interior overlap
+      if (L1 < H2 && L2 < H1) { // strict interior overlap
         EXPECT_NE(RA.PhysOf[VI], RA.PhysOf[VJ]);
+      }
     }
   }
 }

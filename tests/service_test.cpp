@@ -559,6 +559,42 @@ TEST(CompileServiceTest, DeadlineBoundsTheCompileItself) {
       << Got[0].Error;
 }
 
+TEST(CompileServiceTest, StallHookStallsTheBeam) {
+  // The stall hook runs inside the one driver loop at any width, so a
+  // stalled "beam":2 request stalls the beam itself: its rounds admit two
+  // successors each, and the deadline cuts the compile short.
+  ServiceConfig Cfg;
+  Cfg.Workers = 1;
+  Cfg.EnableTestHooks = true;
+  CompileService Svc(Cfg);
+  Collector Col;
+  auto Stat = [](const char *Name) {
+    for (const obs::StatValue &S : obs::snapshotStats())
+      if (S.Name == Name)
+        return S.Value;
+    return uint64_t(0);
+  };
+  uint64_t Rounds0 = Stat("ursa.driver.beam.rounds");
+  uint64_t Admitted0 = Stat("ursa.driver.beam.admitted");
+
+  ServiceRequest Wire = compileRequest("beam", genSource(1, 40, 12), 2, 2);
+  Wire.Beam = 2;
+  Wire.StallMs = 50;
+  Wire.DeadlineMs = 10;
+  ServiceRequest R;
+  ASSERT_TRUE(parseRequest(writeRequest(Wire), R).isOk());
+  Svc.handle(R, Col.sink());
+
+  auto Got = Col.waitFor(1);
+  ASSERT_EQ(Got.size(), 1u);
+  EXPECT_EQ(Got[0].Status, ServiceResponse::StatusKind::Deadline)
+      << Got[0].Error;
+  uint64_t Rounds = Stat("ursa.driver.beam.rounds") - Rounds0;
+  uint64_t Admitted = Stat("ursa.driver.beam.admitted") - Admitted0;
+  EXPECT_GT(Rounds, 0u);
+  EXPECT_GT(Admitted, Rounds) << "the stalled compile did not run the beam";
+}
+
 TEST(CompileServiceTest, ShutdownDrainsAdmittedWork) {
   ServiceConfig Cfg;
   Cfg.Workers = 2;

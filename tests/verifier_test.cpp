@@ -133,8 +133,9 @@ TEST(Verifier, CleanPipelineStatesPass) {
     // Pressure-heavy kernels legitimately fail one-shot assignment (the
     // pipeline spills and retries); the verifier's contract only covers
     // successful assignments.
-    if (RA.Ok)
+    if (RA.Ok) {
       EXPECT_TRUE(verifyAssignment(D, S, RA, M).isOk()) << Name;
+    }
   }
 }
 

@@ -33,12 +33,6 @@ VLIWOp ldi(int Dest, int64_t Imm) {
   return V;
 }
 
-VLIWOp loadVar(int Dest, int Sym) {
-  VLIWOp V = op(Opcode::Load, Dest);
-  V.I.setSymbol(Sym);
-  return V;
-}
-
 VLIWOp storeVar(int Sym, int Src) {
   Instruction I(Opcode::Store);
   I.setSymbol(Sym);
