@@ -218,7 +218,6 @@ int main(int Argc, char **Argv) {
   constexpr unsigned MaxShedsPerFile = 32;
   std::vector<unsigned> Sheds(Files.size(), 0);
   std::vector<std::chrono::steady_clock::time_point> ResendAt(Files.size());
-  std::vector<const char *> FailKind(Files.size(), "transport");
 
   auto FailFile = [&](size_t I, const std::string &Why) {
     State[I] = FileState::Failed;
@@ -299,13 +298,18 @@ int main(int Argc, char **Argv) {
       ReconnectRound = 0;
     }
 
+    // Send the first ready files in queue order. A file still backing off
+    // after a shed keeps its place; the ready files behind it go first.
     bool SendBroke = false;
-    while (!Pending.empty() && InFlight.size() < SendWindow) {
-      size_t I = Pending.front();
-      if (State[I] == FileState::Unsent &&
-          std::chrono::steady_clock::now() < ResendAt[I])
-        break; // backing off after a shed
-      Pending.pop_front();
+    const auto Now = std::chrono::steady_clock::now();
+    for (size_t Pos = 0;
+         Pos < Pending.size() && InFlight.size() < SendWindow;) {
+      size_t I = Pending[Pos];
+      if (State[I] == FileState::Unsent && Now < ResendAt[I]) {
+        ++Pos;
+        continue;
+      }
+      Pending.erase(Pending.begin() + Pos);
       if (State[I] != FileState::Unsent)
         continue;
       if (!SendOne(I)) {
@@ -316,8 +320,13 @@ int main(int Argc, char **Argv) {
     if (SendBroke)
       continue;
     if (InFlight.empty()) {
-      if (!Pending.empty())
-        std::this_thread::sleep_until(ResendAt[Pending.front()]);
+      // Everything left is backing off: wait for the earliest resend.
+      if (!Pending.empty()) {
+        auto Wake = ResendAt[Pending.front()];
+        for (size_t I : Pending)
+          Wake = std::min(Wake, ResendAt[I]);
+        std::this_thread::sleep_until(Wake);
+      }
       continue;
     }
 
@@ -348,7 +357,6 @@ int main(int Argc, char **Argv) {
       // goes to the back of the queue.
       SendWindow = std::max(1u, SendWindow / 2);
       if (++Sheds[I] >= MaxShedsPerFile) {
-        FailKind[I] = "shed";
         FailFile(I, "shed " + std::to_string(MaxShedsPerFile) +
                         " times, giving up: " + Resp.Error);
         continue;
@@ -397,8 +405,9 @@ int main(int Argc, char **Argv) {
         continue;
       const char *Kind = State[I] == FileState::Done
                              ? statusName(Results[I].Status)
-                             : State[I] == FileState::Failed ? FailKind[I]
-                                                             : "unsent";
+                         : State[I] != FileState::Failed ? "unsent"
+                         : Sheds[I] >= MaxShedsPerFile   ? "shed"
+                                                         : "transport";
       const std::string &Why = State[I] == FileState::Done
                                    ? Results[I].Error
                                    : FailReason[I];

@@ -26,7 +26,8 @@
 
 using namespace ursa;
 
-URSA_STAT(StatRounds, "ursa.driver.rounds", "transformation rounds applied");
+URSA_STAT(StatRounds, "ursa.driver.rounds",
+          "transformations applied (one per admitted successor)");
 URSA_STAT(StatProposalsTried, "ursa.driver.proposals_tried",
           "candidate transforms tentatively applied and remeasured");
 URSA_STAT(StatSweeps, "ursa.driver.sweeps", "outer fixpoint sweeps run");
@@ -62,8 +63,6 @@ URSA_STAT(StatBeamRounds, "ursa.driver.beam.rounds",
 URSA_STAT(StatBeamDedup, "ursa.driver.beam.dedup_hits",
           "candidates dropped for reaching a state already live in the "
           "phase");
-URSA_STAT(StatBeamAdmitted, "ursa.driver.beam.admitted",
-          "beam successors admitted into the live set");
 URSA_STAT(StatBeamRetired, "ursa.driver.beam.retired",
           "live states retired without an admitted successor");
 URSA_STAT(StatNoopSkipped, "ursa.driver.noop_proposals_skipped",
@@ -408,6 +407,14 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
   MeasurementCache LocalCache = privateCache(Opts);
   MeasurementCache &Cache =
       Opts.SharedCache ? *Opts.SharedCache : LocalCache;
+  // A live state's measurement. With MeasurementReuse off every use
+  // rebuilds it (the pre-cache behavior the scaling bench measures
+  // against) instead of keeping the state an earlier step built.
+  auto Measured = [&](BeamEntry &E) -> const State & {
+    if (!E.S || !Opts.MeasurementReuse)
+      E.S = Cache.get(E.DAG, M, Opts.Measure);
+    return *E.S;
+  };
 
   auto StartTime = std::chrono::steady_clock::now();
   unsigned Steps = 0; // rounds that admitted a successor
@@ -483,7 +490,7 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
       for (unsigned Round = 0;; ++Round) {
         // Round-start gate on every live state: prove the DAG sound before
         // any analysis runs on it (a fault that struck after the previous
-        // round is caught here), then measure it if nothing has yet.
+        // round is caught here), then measure it.
         for (BeamEntry &E : Beam) {
           if (VerifyOn) {
             Status St = verifyDAGStructure(E.DAG);
@@ -494,8 +501,7 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
               break;
             }
           }
-          if (!E.S)
-            E.S = Cache.get(E.DAG, M, Opts.Measure);
+          Measured(E);
         }
         if (Bail)
           break;
@@ -831,7 +837,6 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
             Next.RoundLog.push_back(std::move(RR));
           }
           Expanded[P] = true;
-          StatBeamAdmitted.add();
           StatRounds.add();
           switch (Prop.Kind) {
           case TransformProposal::FUSequence:
@@ -885,7 +890,7 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
       if (!Bail && VerifyOn) {
         Status St = verifyDAGStructure(Beam.front().DAG);
         if (St.isOk() && VerifyFull)
-          St.merge(verifyMeasurements(Beam.front().S->Meas));
+          St.merge(verifyMeasurements(Measured(Beam.front()).Meas));
         if (!St.isOk()) {
           FailVerify(St);
           Bail = true;
@@ -895,7 +900,7 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
     if (Bail)
       break;
 
-    const State &Front = *Beam.front().S;
+    const State &Front = Measured(Beam.front());
     R.ClosureBytesPeak =
         std::max(R.ClosureBytesPeak, Front.A->closureMemoryBytes());
     if (Front.TotalExcess == 0 || Steps == StepsAtSweepStart)

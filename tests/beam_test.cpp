@@ -170,7 +170,8 @@ TEST(Beam, ExportsBeamStats) {
   URSAResult R = runURSA(buildDAG(figure2Trace()), M, O);
   EXPECT_GT(R.Rounds, 0u);
   EXPECT_GT(statValue("ursa.driver.beam.rounds"), 0u);
-  EXPECT_GT(statValue("ursa.driver.beam.admitted"), 0u);
+  EXPECT_GE(statValue("ursa.driver.rounds"),
+            statValue("ursa.driver.beam.rounds"));
 }
 
 TEST(Beam, KernelsFitModestMachinesAtWidthFour) {

@@ -562,7 +562,9 @@ TEST(CompileServiceTest, DeadlineBoundsTheCompileItself) {
 TEST(CompileServiceTest, StallHookStallsTheBeam) {
   // The stall hook runs inside the one driver loop at any width, so a
   // stalled "beam":2 request stalls the beam itself: its rounds admit two
-  // successors each, and the deadline cuts the compile short.
+  // successors each (ursa.driver.rounds counts one per admitted successor,
+  // ursa.driver.beam.rounds one per round), and the deadline cuts the
+  // compile short.
   ServiceConfig Cfg;
   Cfg.Workers = 1;
   Cfg.EnableTestHooks = true;
@@ -575,7 +577,7 @@ TEST(CompileServiceTest, StallHookStallsTheBeam) {
     return uint64_t(0);
   };
   uint64_t Rounds0 = Stat("ursa.driver.beam.rounds");
-  uint64_t Admitted0 = Stat("ursa.driver.beam.admitted");
+  uint64_t Admitted0 = Stat("ursa.driver.rounds");
 
   ServiceRequest Wire = compileRequest("beam", genSource(1, 40, 12), 2, 2);
   Wire.Beam = 2;
@@ -590,7 +592,7 @@ TEST(CompileServiceTest, StallHookStallsTheBeam) {
   EXPECT_EQ(Got[0].Status, ServiceResponse::StatusKind::Deadline)
       << Got[0].Error;
   uint64_t Rounds = Stat("ursa.driver.beam.rounds") - Rounds0;
-  uint64_t Admitted = Stat("ursa.driver.beam.admitted") - Admitted0;
+  uint64_t Admitted = Stat("ursa.driver.rounds") - Admitted0;
   EXPECT_GT(Rounds, 0u);
   EXPECT_GT(Admitted, Rounds) << "the stalled compile did not run the beam";
 }

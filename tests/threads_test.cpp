@@ -223,6 +223,28 @@ TEST(DriverThreads, MeasurementCacheActuallyHits) {
   EXPECT_GT(statValue("ursa.driver.measure_cache.hits"), Hits0);
 }
 
+TEST(DriverThreads, ReuseOffRebuildsAtEveryUse) {
+  // MeasurementReuse=false is the scaling bench's rebuild-everything
+  // baseline. On a run that applies nothing, the state is built at the
+  // start, at each of the three phases' round-start gates, at the sweep
+  // end and for the final accounting; with reuse on, once.
+  MachineModel M = MachineModel::homogeneous(4, 8);
+  DependenceDAG D = buildDAG(figure2Trace());
+  auto Builds = [&](bool Reuse) {
+    uint64_t N0 = statValue("ursa.measure.resources_measured");
+    URSAOptions O;
+    O.Threads = 1;
+    O.Verify = VerifyLevel::Basic;
+    O.MeasurementReuse = Reuse;
+    URSAResult R = runURSA(D, M, O);
+    EXPECT_EQ(R.Rounds, 0u);
+    return statValue("ursa.measure.resources_measured") - N0;
+  };
+  uint64_t On = Builds(true);
+  ASSERT_GT(On, 0u);
+  EXPECT_EQ(Builds(false), 6 * On);
+}
+
 TEST(DriverThreads, ParallelEvalBatchesCounted) {
   MachineModel M = MachineModel::homogeneous(2, 4);
   GenOptions G;
