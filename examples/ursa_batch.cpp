@@ -17,10 +17,11 @@
 //   --order NAME          regs | fus | integrated
 //   --verify LEVEL        off | basic | full
 //   --guaranteed-fit      force residual excess to fit
-//   --time-budget MS      per-compile wall-clock budget
 //   --beam K              driver beam width (1 = greedy; see ursa_cc)
 //   --portfolio           race phase orderings, keep the best allocation
-//   --deadline MS         per-request deadline (queue + compile)
+//   --deadline MS         per-request deadline (queue + compile); a
+//                         request past it is answered `deadline`, never
+//                         with a different program
 //   --window N            max requests in flight (default 16)
 //   --retries N           transport-failure budget: how many times the
 //                         batch may reconnect and resume (default 0)
@@ -37,7 +38,7 @@
 //
 // Requests are pipelined up to the window and responses matched back by
 // id; output is printed in input order and is bit-identical to running
-// `ursa_cc FILE ...` per file, at any worker count.
+// `ursa_cc FILE ...` per file, at any worker count and queue pressure.
 //
 // Fault tolerance: a shed halves the number of requests the batch keeps
 // in flight (each completion grows it back by one, up to the window), and
@@ -135,8 +136,6 @@ int main(int Argc, char **Argv) {
       Proto.Verify = S;
     } else if (A == "--guaranteed-fit") {
       Proto.GuaranteedFit = true;
-    } else if (A == "--time-budget" && (S = Next())) {
-      Proto.TimeBudgetMs = unsigned(std::atoi(S));
     } else if (A == "--beam" && (S = Next()) && std::atoi(S) > 0) {
       Proto.Beam = unsigned(std::atoi(S));
     } else if (A == "--portfolio") {

@@ -12,7 +12,10 @@
 //                         straight-line trace in the IR syntax; built-in
 //                         demo function when omitted
 //   --machine FxR         homogeneous machine, e.g. --machine 4x8
-//   --classed i,f,m,g,p   classed machine (int/float/mem FUs, GPRs, FPRs)
+//   --classed i,f,m,g,p   classed machine (int/float/mem FUs, GPRs, FPRs);
+//                         a machine MachineModel cannot build (no units or
+//                         registers, or above its per-class caps) is an
+//                         error
 //   --latencies i,f,m     operation latencies (default 1,1,1)
 //   --pipelined           initiation-interval-1 functional units
 //   --pipeline NAME       ursa | prepass | postpass | integrated
@@ -27,7 +30,6 @@
 //                         go to stderr — see docs/ROBUSTNESS.md)
 //   --guaranteed-fit      force residual excess to fit via the
 //                         sequentialize-and-spill fallback (URSA only)
-//   --time-budget MS      wall-clock budget for the allocation loop
 //   --threads N           worker threads for proposal evaluation in the
 //                         URSA driver (default: URSA_THREADS, else 1);
 //                         results are identical across thread counts
@@ -42,9 +44,9 @@
 //                         (default: URSA_INCREMENTAL, else on); results
 //                         are identical either way
 //   --cache-size N        measurement-cache entries in the URSA driver
+//                         (default: URSA_CACHE_SIZE, else 4)
 //   --closure MODE        dense | blocked | auto closure representation
 //                         (overrides URSA_CLOSURE; auto switches on size)
-//                         (default: URSA_CACHE_SIZE, else 4)
 //   --report              print the human-readable allocation report
 //   --report-json         print the machine-readable allocation report
 //                         (schema ursa.allocation_report.v1, or
@@ -122,7 +124,6 @@ struct Options {
   bool Run = false;
   std::string Verify; ///< empty = keep the URSA_VERIFY default
   bool GuaranteedFit = false;
-  unsigned TimeBudgetMs = 0;
   unsigned Threads = 0;   ///< 0 = URSA_THREADS default
   unsigned Beam = 0;      ///< 0 = URSA_BEAM default (1 = greedy)
   bool Portfolio = false;
@@ -141,6 +142,13 @@ bool parseUints(const char *S, std::vector<unsigned> &Out, char Sep) {
   return !Out.empty();
 }
 
+/// Reports a machine the model cannot build; true when \p St is ok.
+bool checkMachine(const Status &St) {
+  if (!St.isOk())
+    std::fprintf(stderr, "%s\n", St.str().c_str());
+  return St.isOk();
+}
+
 bool parseArgs(int Argc, char **Argv, Options &O) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
@@ -152,12 +160,17 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       const char *S = Next();
       if (!S || !parseUints(S, V, 'x') || V.size() != 2)
         return false;
+      if (!checkMachine(MachineModel::checkHomogeneous(V[0], V[1])))
+        return false;
       O.Fus = V[0];
       O.Regs = V[1];
     } else if (A == "--classed") {
       std::vector<unsigned> V;
       const char *S = Next();
       if (!S || !parseUints(S, V, ',') || V.size() != 5)
+        return false;
+      if (!checkMachine(
+              MachineModel::checkClassed(V[0], V[1], V[2], V[3], V[4])))
         return false;
       O.Classed = true;
       O.IntFus = V[0];
@@ -233,11 +246,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       O.Verify = S;
     } else if (A == "--guaranteed-fit") {
       O.GuaranteedFit = true;
-    } else if (A == "--time-budget") {
-      const char *S = Next();
-      if (!S)
-        return false;
-      O.TimeBudgetMs = unsigned(std::atoi(S));
     } else if (A == "--threads") {
       const char *S = Next();
       if (!S || std::atoi(S) < 1)
@@ -358,7 +366,6 @@ int main(int Argc, char **Argv) {
   if (!O.Verify.empty())
     UO.Verify = parseVerifyLevel(O.Verify.c_str());
   UO.GuaranteedFit = O.GuaranteedFit;
-  UO.TimeBudgetMs = O.TimeBudgetMs;
   UO.Threads = O.Threads;
   UO.BeamWidth = O.Beam;
   UO.Portfolio = O.Portfolio;

@@ -30,12 +30,8 @@
 //                       (URSA_SERVICE_IDLE_TIMEOUT_MS, default never)
 //   --io-timeout MS     per-operation socket deadline mid-frame
 //                       (URSA_SERVICE_IO_TIMEOUT_MS, default unbounded)
-//   --no-degrade        disable graceful-degradation tiers
+//   --no-degrade        never turn verification off under queue pressure
 //                       (URSA_SERVICE_DEGRADE=0)
-//   --degraded-budget MS tier-3 budget clamp
-//                       (URSA_SERVICE_DEGRADED_BUDGET_MS, default 250)
-//   --time-budget MS    default per-compile wall-clock budget
-//                       (URSA_SERVICE_TIME_BUDGET_MS, default unlimited)
 //   --test-hooks        honor the per-request stall test hook
 //                       (URSA_SERVICE_TEST_HOOKS)
 //   --report-out FILE   write the final ursa.service_report.v1 document
@@ -52,6 +48,11 @@
 // flight-recorder ring; `health` is a cheap pressure probe. `ursa_top`
 // renders stats as a refreshing table; `ursa_batch --stats` fetches one
 // document.
+//
+// Every `ok` answer depends only on its request: the same text `ursa_cc`
+// prints for that source, machine and options, whatever the load. Load
+// sheds requests and a request's deadline cancels its compile; neither
+// changes an answer.
 //
 // The server drains on a `shutdown` request: queued compiles finish and
 // their responses flush before the process exits. Protocol and report
@@ -105,10 +106,6 @@ int main(int Argc, char **Argv) {
       Cfg.IoTimeoutMs = unsigned(std::atoi(S));
     else if (A == "--no-degrade")
       Cfg.DegradeEnabled = false;
-    else if (A == "--degraded-budget" && (S = Next()))
-      Cfg.DegradedTimeBudgetMs = unsigned(std::atoi(S));
-    else if (A == "--time-budget" && (S = Next()))
-      Cfg.DefaultTimeBudgetMs = unsigned(std::atoi(S));
     else if (A == "--test-hooks")
       Cfg.EnableTestHooks = true;
     else if (A == "--report-out" && (S = Next()))

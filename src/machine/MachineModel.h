@@ -18,6 +18,8 @@
 #ifndef URSA_MACHINE_MACHINEMODEL_H
 #define URSA_MACHINE_MACHINEMODEL_H
 
+#include "support/Status.h"
+
 #include <cassert>
 #include <string>
 
@@ -35,6 +37,24 @@ constexpr unsigned NumRegClasses = 2;
 /// Immutable description of one VLIW target configuration.
 class MachineModel {
 public:
+  /// Most units of one FU class, and most registers of one register
+  /// class, a machine may have. The list scheduler and the register
+  /// assigner allocate one slot per unit or register, so the caps keep an
+  /// untrusted machine spec from asking for gigabytes; they sit far above
+  /// any machine the experiments use (the largest is 16x64).
+  static constexpr unsigned MaxFUsPerClass = 256;
+  static constexpr unsigned MaxRegsPerClass = 4096;
+
+  /// The check homogeneous() and classed() assert, for callers holding
+  /// untrusted counts (the compile service, the command line): an error
+  /// naming the problem, or ok. A homogeneous machine needs at least one
+  /// unit and one register; a classed one needs integer units, memory
+  /// units and GPRs (float units and FPRs may be zero). No class may
+  /// exceed the caps above.
+  static Status checkHomogeneous(unsigned Fus, unsigned Regs);
+  static Status checkClassed(unsigned IntFus, unsigned FloatFus,
+                             unsigned MemFus, unsigned Gprs, unsigned Fprs);
+
   /// Builds the paper's base machine: \p Fus homogeneous units and \p Regs
   /// general-purpose registers, all latencies 1.
   static MachineModel homogeneous(unsigned Fus, unsigned Regs);

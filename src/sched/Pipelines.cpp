@@ -23,7 +23,8 @@ URSA_STAT(StatSchedSpillRounds, "sched.finish_and_emit.spill_rounds",
           "assignment-phase spill-and-reschedule iterations");
 
 /// A machine is structurally too small when one instruction reads more
-/// distinct registers than the file holds — no allocation can fix that.
+/// distinct registers than the file holds, or has no unit of the class
+/// an instruction issues on — no allocation can fix either.
 static bool fileFitsEveryOp(const Trace &T, const MachineModel &M,
                             std::string &Error) {
   for (const Instruction &I : T.instructions()) {
@@ -43,6 +44,10 @@ static bool fileFitsEveryOp(const Trace &T, const MachineModel &M,
                                 : RegClassKind::GPR);
     if (Distinct > M.numRegs(C)) {
       Error = "register file too small for an instruction's operands";
+      return false;
+    }
+    if (M.numFUs(I.fuKind()) == 0) {
+      Error = "machine has no functional unit for an instruction's class";
       return false;
     }
   }

@@ -42,8 +42,6 @@ ServiceConfig ServiceConfig::fromEnv() {
       std::max(1u, envUnsigned("URSA_SERVICE_QUEUE_DEPTH", C.QueueDepth));
   C.CacheSize = envUnsigned("URSA_SERVICE_CACHE_SIZE", C.CacheSize);
   C.CacheEnabled = envUnsigned("URSA_SERVICE_CACHE", 1) != 0;
-  C.DefaultTimeBudgetMs =
-      envUnsigned("URSA_SERVICE_TIME_BUDGET_MS", C.DefaultTimeBudgetMs);
   C.MaxRequestBytes =
       envUnsigned("URSA_SERVICE_MAX_REQUEST_BYTES", C.MaxRequestBytes);
   C.EnableTestHooks = envUnsigned("URSA_SERVICE_TEST_HOOKS", 0) != 0;
@@ -55,8 +53,6 @@ ServiceConfig ServiceConfig::fromEnv() {
   C.IdleTimeoutMs = envUnsigned("URSA_SERVICE_IDLE_TIMEOUT_MS", 0);
   C.IoTimeoutMs = envUnsigned("URSA_SERVICE_IO_TIMEOUT_MS", 0);
   C.DegradeEnabled = envUnsigned("URSA_SERVICE_DEGRADE", 1) != 0;
-  C.DegradedTimeBudgetMs =
-      envUnsigned("URSA_SERVICE_DEGRADED_BUDGET_MS", C.DegradedTimeBudgetMs);
   C.FlightSize = envUnsigned("URSA_SERVICE_FLIGHT_SIZE", C.FlightSize);
   C.FlightSlowN = envUnsigned("URSA_SERVICE_FLIGHT_SLOW", C.FlightSlowN);
   if (const char *P = std::getenv("URSA_FLIGHT_DUMP"); P && *P)
@@ -68,11 +64,8 @@ unsigned DegradeGovernor::update(double Occupancy, uint64_t NowUs) {
   Ewma = 0.8 * Ewma + 0.2 * Occupancy;
   if (!Enabled)
     return Tier;
-  unsigned T = Tier;
-  while (T < 3 && Ewma >= UpThreshold[T])
-    ++T;
-  while (T > 0 && Ewma < UpThreshold[T - 1] - Hysteresis)
-    --T;
+  // Enter tier 1 at UpThreshold; leave it only a Hysteresis below.
+  unsigned T = Ewma >= (Tier ? UpThreshold - Hysteresis : UpThreshold);
   if (T != Tier) {
     Tier = T;
     ++Transitions;
@@ -83,25 +76,15 @@ unsigned DegradeGovernor::update(double Occupancy, uint64_t NowUs) {
 }
 
 URSA_STAT(StatDegradeTier, "ursa.service.degrade_tier",
-          "active graceful-degradation tier (gauge, 0..3)");
+          "active graceful-degradation tier (gauge, 0..1)");
 URSA_STAT(StatDegradeTransitions, "ursa.service.degrade_transitions",
           "degradation tier changes");
 URSA_STAT(StatDegradedVerifyOff, "ursa.service.degraded_verify_off",
           "compiles run with verification shed (tier >= 1)");
-URSA_STAT(StatDegradedIncrementalOff,
-          "ursa.service.degraded_incremental_off",
-          "compiles run with incremental warm paths shed (tier >= 2)");
-URSA_STAT(StatDegradedBudgetClamped,
-          "ursa.service.degraded_budget_clamped",
-          "compiles run with the degraded budget clamp (tier >= 3)");
 URSA_STAT(StatCacheWarmLoaded, "ursa.service.cache_warm_loaded",
           "cache entries restored warm from disk at startup");
 URSA_STAT(StatDegradeEnterT1, "ursa.service.degrade_enter_t1",
           "times tier 1 became the active degradation tier");
-URSA_STAT(StatDegradeEnterT2, "ursa.service.degrade_enter_t2",
-          "times tier 2 became the active degradation tier");
-URSA_STAT(StatDegradeEnterT3, "ursa.service.degrade_enter_t3",
-          "times tier 3 became the active degradation tier");
 URSA_STAT(StatDegradeLastChangeUs, "ursa.service.degrade_last_change_us",
           "monotonic timestamp of the last tier transition (gauge)");
 
@@ -243,10 +226,6 @@ void CompileService::updateLoadLocked() {
     StatDegradeLastChangeUs.set(NowUs);
     if (T == 1)
       StatDegradeEnterT1.add();
-    else if (T == 2)
-      StatDegradeEnterT2.add();
-    else if (T == 3)
-      StatDegradeEnterT3.add();
   }
 }
 
@@ -381,7 +360,7 @@ void CompileService::workerLoop() {
                    "ms expired while queued";
       Resp.QueueMs = QueueMs;
     } else {
-      Resp = compileOne(J.R, QueueMs, Rec);
+      Resp = compileOne(J, QueueMs, Rec);
     }
     Resp.TraceId = J.R.TraceId;
 
@@ -465,9 +444,9 @@ const MachineModel &CompileService::modelFor(const MachineSpec &Spec) {
   return modelForLocked(Spec);
 }
 
-ServiceResponse CompileService::compileOne(const ServiceRequest &R,
-                                           double QueueMs,
+ServiceResponse CompileService::compileOne(const Job &J, double QueueMs,
                                            RequestRecord &Rec) {
+  const ServiceRequest &R = J.R;
   ServiceResponse Resp;
   Resp.Id = R.Id;
   Resp.QueueMs = QueueMs;
@@ -537,40 +516,18 @@ ServiceResponse CompileService::compileOne(const ServiceRequest &R,
     UO.BeamWidth = R.Beam;
   UO.Portfolio = R.Portfolio;
   UO.SharedCache = cacheFor(R.Machine);
+  // The deadline may cancel the compile; it never changes the answer.
+  if (R.DeadlineMs)
+    UO.Deadline = J.Enqueued + std::chrono::milliseconds(R.DeadlineMs);
 
-  // Budget: the request's own budget, the server default, and whatever is
-  // left of the deadline after queueing — whichever binds first.
-  unsigned Budget = R.TimeBudgetMs ? R.TimeBudgetMs : Config.DefaultTimeBudgetMs;
-  if (R.DeadlineMs) {
-    unsigned Left = unsigned(std::max(1.0, double(R.DeadlineMs) - QueueMs));
-    Budget = Budget ? std::min(Budget, Left) : Left;
+  // Graceful degradation: under queue pressure, shed verification. It
+  // only checks the program, so an Ok answer is still what ursa_cc
+  // prints.
+  if (Config.DegradeEnabled &&
+      DegradeTier.load(std::memory_order_relaxed) >= 1) {
+    UO.Verify = VerifyLevel::None;
+    StatDegradedVerifyOff.add();
   }
-
-  // Graceful degradation: shed work before requests. Each tier trades a
-  // little per-request cost for headroom; only the queue-full path (the
-  // de-facto tier 4) refuses anyone.
-  if (Config.DegradeEnabled) {
-    unsigned Tier = DegradeTier.load(std::memory_order_relaxed);
-    if (Tier >= 1) {
-      UO.Verify = VerifyLevel::None;
-      StatDegradedVerifyOff.add();
-    }
-    if (Tier >= 2) {
-      UO.IncrementalMeasure = false;
-      // A pressured server also stops paying for wider-than-greedy
-      // searches: beam/portfolio multiply per-request compile cost, which
-      // is exactly the wrong trade under load.
-      UO.BeamWidth = 1;
-      UO.Portfolio = false;
-      StatDegradedIncrementalOff.add();
-    }
-    if (Tier >= 3) {
-      Budget = Budget ? std::min(Budget, Config.DegradedTimeBudgetMs)
-                      : Config.DegradedTimeBudgetMs;
-      StatDegradedBudgetClamped.add();
-    }
-  }
-  UO.TimeBudgetMs = Budget;
 
   FaultInjector Stall(FaultKind::StallRound);
   if (Config.EnableTestHooks && R.StallMs) {
@@ -581,11 +538,7 @@ ServiceResponse CompileService::compileOne(const ServiceRequest &R,
   URSACompileResult CR = compileURSA(T, M, UO);
   Rec.Rounds = CR.AllocRounds;
 
-  double ElapsedMs = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - Begin)
-                         .count();
-  if (R.DeadlineMs && CR.BudgetExhausted &&
-      QueueMs + ElapsedMs >= double(R.DeadlineMs)) {
+  if (runWasCancelled(CR.AllocStopReasons)) {
     Resp.Status = ServiceResponse::StatusKind::Deadline;
     Resp.Error = "deadline of " + std::to_string(R.DeadlineMs) +
                  "ms expired during compilation";
@@ -616,7 +569,7 @@ ServiceCounters CompileService::counters() const {
   ServiceCounters Out = C;
   Out.DegradeTier = DegradeTier.load(std::memory_order_relaxed);
   Out.LoadEwma = Governor.loadEwma();
-  for (unsigned T = 0; T != 4; ++T)
+  for (unsigned T = 0; T != DegradeGovernor::NumTiers; ++T)
     Out.TierEntries[T] = Governor.entries(T);
   Out.LastTierChangeUs = Governor.lastChangeUs();
   return Out;
@@ -632,14 +585,12 @@ std::string CompileService::reportJSON() const {
   W.kv("queue_depth", Config.QueueDepth);
   W.kv("cache_enabled", Config.CacheEnabled);
   W.kv("cache_size", Config.CacheSize);
-  W.kv("default_time_budget_ms", Config.DefaultTimeBudgetMs);
   W.kv("max_request_bytes", Config.MaxRequestBytes);
   W.kv("cache_dir", Config.CacheDir);
   W.kv("snapshot_every", Config.SnapshotEvery);
   W.kv("idle_timeout_ms", Config.IdleTimeoutMs);
   W.kv("io_timeout_ms", Config.IoTimeoutMs);
   W.kv("degrade_enabled", Config.DegradeEnabled);
-  W.kv("degraded_time_budget_ms", Config.DegradedTimeBudgetMs);
   W.kv("flight_size", Config.FlightSize);
   W.kv("flight_slow_n", Config.FlightSlowN);
   W.endObject();
@@ -668,8 +619,8 @@ std::string CompileService::reportJSON() const {
   W.kv("load_ewma", S.LoadEwma);
   W.kv("transitions", S.DegradeTransitions);
   W.key("tier_entries").beginArray();
-  for (unsigned T = 0; T != 4; ++T)
-    W.value(S.TierEntries[T]);
+  for (uint64_t N : S.TierEntries)
+    W.value(N);
   W.endArray();
   W.kv("last_change_us", S.LastTierChangeUs);
   W.endObject();
@@ -783,8 +734,8 @@ std::string CompileService::statsJSON(bool IncludeFlight) const {
   W.kv("load_ewma", S.LoadEwma);
   W.kv("transitions", S.DegradeTransitions);
   W.key("tier_entries").beginArray();
-  for (unsigned T = 0; T != 4; ++T)
-    W.value(S.TierEntries[T]);
+  for (uint64_t N : S.TierEntries)
+    W.value(N);
   W.endArray();
   W.kv("last_change_us", S.LastTierChangeUs);
   W.kv("last_change_age_s",

@@ -18,22 +18,19 @@
 ///    than queued without bound;
 ///  * each request may carry a DeadlineMs; a request whose deadline
 ///    expires while queued is answered StatusKind::Deadline without
-///    compiling, and the deadline remaining at dispatch is folded into the
-///    driver's TimeBudgetMs so a slow compile cannot overrun it either.
+///    compiling, and the compile runs with URSAOptions::Deadline at the
+///    enqueue time plus DeadlineMs, so a compile still running when it
+///    passes is cancelled and answered Deadline too. A deadline takes an
+///    answer away but never changes one.
 ///
 /// Graceful degradation (ServiceConfig::DegradeEnabled): under sustained
 /// queue pressure — an exponentially-weighted moving average of queue
 /// occupancy, with hysteresis so the tier does not flap — the service
-/// sheds *work before requests*:
-///   tier 1  per-request verification off (correctness checks are
-///           re-derivable later; answers stay identical);
-///   tier 2  incremental-measure warm paths off (bounds the per-request
-///           working set delta closures keep alive);
-///   tier 3  driver budgets clamped to DegradedTimeBudgetMs (answers may
-///           report BudgetExhausted but every request still answers);
-///   tier 4  the existing queue-full shed — the only tier that refuses.
-/// The active tier is exported in stats (ursa.service.degrade_tier) and
-/// the service report.
+/// enters tier 1 and turns per-request verification off. Verification
+/// only checks the program it is given, so an Ok answer's bytes stay the
+/// same; beyond that the queue-full shed is the only defence, and it
+/// refuses rather than rewrites. The active tier is exported in stats
+/// (ursa.service.degrade_tier) and the service report.
 ///
 /// Persistence (ServiceConfig::CacheDir): each machine key's
 /// MeasurementCache is journaled to a crash-safe image (ursa/CacheImage.h)
@@ -42,8 +39,9 @@
 /// the entry being written.
 ///
 /// Results are bit-identical to `ursa_cc`: the same compileURSA call, the
-/// same formatCompileText rendering, at any worker count (the driver is
-/// deterministic and cached MeasuredStates are immutable).
+/// same formatCompileText rendering, at any worker count, tier and queue
+/// pressure (the driver is deterministic and cached MeasuredStates are
+/// immutable). An Ok answer depends only on its request.
 ///
 /// The service is usable in-process (the lifecycle tests drive it without
 /// any socket); service/Server.h adds the Unix-domain-socket front end.
@@ -86,9 +84,6 @@ struct ServiceConfig {
   unsigned CacheSize = 1024;
   /// Cross-request measurement reuse (URSA_SERVICE_CACHE, 0 disables).
   bool CacheEnabled = true;
-  /// Applied to compiles that specify no budget of their own
-  /// (URSA_SERVICE_TIME_BUDGET_MS, default 0 = unlimited).
-  unsigned DefaultTimeBudgetMs = 0;
   /// Per-frame request size cap handed to the JSON parser
   /// (URSA_SERVICE_MAX_REQUEST_BYTES, default 8 MiB).
   unsigned MaxRequestBytes = 8u << 20;
@@ -112,12 +107,9 @@ struct ServiceConfig {
   /// (URSA_SERVICE_IO_TIMEOUT_MS, default 0 = unbounded).
   unsigned IoTimeoutMs = 0;
 
-  /// Degradation tiers under queue pressure (URSA_SERVICE_DEGRADE,
+  /// Degradation tier 1 under queue pressure (URSA_SERVICE_DEGRADE,
   /// default on).
   bool DegradeEnabled = true;
-  /// Tier-3 clamp on the driver budget (URSA_SERVICE_DEGRADED_BUDGET_MS,
-  /// default 250).
-  unsigned DegradedTimeBudgetMs = 250;
 
   /// Flight-recorder ring size (URSA_SERVICE_FLIGHT_SIZE, default 256;
   /// 0 keeps only the summary-free minimum of 1).
@@ -132,8 +124,8 @@ struct ServiceConfig {
   static ServiceConfig fromEnv();
 };
 
-/// Decides the graceful-degradation tier from queue pressure: an
-/// exponentially-weighted moving average of queue occupancy, with
+/// Decides the graceful-degradation tier (0 or 1) from queue pressure:
+/// an exponentially-weighted moving average of queue occupancy, with
 /// hysteresis so a bursty queue does not flap the tier, plus the
 /// accounting that makes flapping *visible* — per-tier entry counters
 /// and the timestamp of the last transition. Not thread-safe on its own;
@@ -141,9 +133,11 @@ struct ServiceConfig {
 /// it directly).
 class DegradeGovernor {
 public:
-  /// EWMA crosses these going up to enter tiers 1..3...
-  static constexpr double UpThreshold[3] = {0.5, 0.7, 0.85};
-  /// ...and must fall this far below one to leave it again.
+  /// Tiers 0 (normal service) and 1 (verification off).
+  static constexpr unsigned NumTiers = 2;
+  /// EWMA crosses this going up to enter tier 1...
+  static constexpr double UpThreshold = 0.5;
+  /// ...and must fall this far below it to leave again.
   static constexpr double Hysteresis = 0.15;
 
   explicit DegradeGovernor(bool EnabledIn) : Enabled(EnabledIn) {}
@@ -157,8 +151,10 @@ public:
   double loadEwma() const { return Ewma; }
   /// Tier changes since construction, in either direction.
   uint64_t transitions() const { return Transitions; }
-  /// Times tier \p T (0..3) became the active tier.
-  uint64_t entries(unsigned T) const { return T < 4 ? TierEntries[T] : 0; }
+  /// Times tier \p T (0..1) became the active tier.
+  uint64_t entries(unsigned T) const {
+    return T < NumTiers ? TierEntries[T] : 0;
+  }
   /// NowUs of the most recent transition; 0 = the tier never moved.
   uint64_t lastChangeUs() const { return LastChangeUs; }
 
@@ -167,7 +163,7 @@ private:
   double Ewma = 0;
   unsigned Tier = 0;
   uint64_t Transitions = 0;
-  uint64_t TierEntries[4] = {0, 0, 0, 0};
+  uint64_t TierEntries[NumTiers] = {};
   uint64_t LastChangeUs = 0;
 };
 
@@ -185,10 +181,11 @@ struct ServiceCounters {
   double TotalQueueMs = 0;
   double TotalCompileMs = 0;
   double MaxCompileMs = 0;
-  uint64_t DegradeTier = 0;        ///< active degradation tier (0..3)
+  uint64_t DegradeTier = 0;        ///< active degradation tier (0..1)
   uint64_t DegradeTransitions = 0; ///< tier changes since start
   double LoadEwma = 0;             ///< smoothed queue occupancy [0,1]
-  uint64_t TierEntries[4] = {0, 0, 0, 0}; ///< times each tier went active
+  /// Times each tier went active.
+  uint64_t TierEntries[DegradeGovernor::NumTiers] = {};
   uint64_t LastTierChangeUs = 0; ///< obs::monotonicNowUs; 0 = never moved
 };
 
@@ -253,7 +250,7 @@ private:
   };
 
   void workerLoop();
-  ServiceResponse compileOne(const ServiceRequest &R, double QueueMs,
+  ServiceResponse compileOne(const Job &J, double QueueMs,
                              RequestRecord &Rec);
   void recordShed(const ServiceRequest &R, const std::string &Why);
   MeasurementCache *cacheFor(const MachineSpec &Spec);

@@ -6,6 +6,7 @@
 
 #include "service/Protocol.h"
 
+#include <cmath>
 #include <cstdio>
 #include <functional>
 
@@ -24,6 +25,12 @@ MachineModel MachineSpec::build() const {
   if (Pipelined)
     M.withPipelinedFUs();
   return M;
+}
+
+Status MachineSpec::check() const {
+  return Classed ? MachineModel::checkClassed(IntFus, FltFus, MemFus, Gprs,
+                                              Fprs)
+                 : MachineModel::checkHomogeneous(Fus, Regs);
 }
 
 std::string MachineSpec::key() const {
@@ -53,8 +60,9 @@ bool MachineSpec::fromKey(const std::string &Key, MachineSpec &Out) {
   }
   S.Pipelined = P != 0;
   // The round trip must be exact — trailing junk or out-of-range digits
-  // would otherwise fabricate a machine key() never produced.
-  if (S.key() != Key)
+  // would otherwise fabricate a machine key() never produced — and the
+  // machine must be one build() accepts.
+  if (S.key() != Key || !S.check().isOk())
     return false;
   Out = S;
   return true;
@@ -144,8 +152,6 @@ std::string service::writeRequest(const ServiceRequest &R,
       W.kv("verify", R.Verify);
     if (R.GuaranteedFit)
       W.kv("guaranteed_fit", true);
-    if (R.TimeBudgetMs)
-      W.kv("time_budget_ms", R.TimeBudgetMs);
     if (R.MaxTotalRounds)
       W.kv("max_total_rounds", R.MaxTotalRounds);
     if (R.Threads)
@@ -166,13 +172,15 @@ std::string service::writeRequest(const ServiceRequest &R,
   return W.str();
 }
 
-/// Reads an optional non-negative integer member, rejecting junk.
+/// Reads an optional non-negative integer member, rejecting junk
+/// (fractions included).
 static Status readUnsigned(const JsonValue &Obj, const char *Key,
                            unsigned &Out) {
   const JsonValue *V = Obj.find(Key);
   if (!V)
     return Status::ok();
-  if (!V->isNumber() || V->Num < 0 || V->Num > 4e9)
+  if (!V->isNumber() || V->Num < 0 || V->Num > 4e9 ||
+      V->Num != std::floor(V->Num))
     return Status::error("service", std::string("field '") + Key +
                                         "' must be a non-negative integer");
   Out = unsigned(V->Num);
@@ -284,16 +292,8 @@ Status service::parseRequest(std::string_view Doc, ServiceRequest &Out,
       Out.Machine.LatFlt = unsigned(L->Arr[1].Num);
       Out.Machine.LatMem = unsigned(L->Arr[2].Num);
     }
-    // A machine with zero units or registers can never fit anything.
-    unsigned FuTotal = Out.Machine.Classed
-                           ? Out.Machine.IntFus + Out.Machine.FltFus +
-                                 Out.Machine.MemFus
-                           : Out.Machine.Fus;
-    unsigned RegTotal = Out.Machine.Classed
-                            ? Out.Machine.Gprs + Out.Machine.Fprs
-                            : Out.Machine.Regs;
-    if (FuTotal == 0 || RegTotal == 0)
-      return Status::error("service", "machine has no FUs or no registers");
+    if (Status Shape = Out.Machine.check(); !Shape.isOk())
+      return Shape;
   }
 
   if (const JsonValue *O = Root.find("options")) {
@@ -303,7 +303,6 @@ Status service::parseRequest(std::string_view Doc, ServiceRequest &Out,
     St.merge(readString(*O, "order", Out.Order));
     St.merge(readString(*O, "verify", Out.Verify));
     St.merge(readBool(*O, "guaranteed_fit", Out.GuaranteedFit));
-    St.merge(readUnsigned(*O, "time_budget_ms", Out.TimeBudgetMs));
     St.merge(readUnsigned(*O, "max_total_rounds", Out.MaxTotalRounds));
     St.merge(readUnsigned(*O, "threads", Out.Threads));
     St.merge(readUnsigned(*O, "beam", Out.Beam));
@@ -312,8 +311,12 @@ Status service::parseRequest(std::string_view Doc, ServiceRequest &Out,
     St.merge(readUnsigned(*O, "stall_ms", Out.StallMs));
     if (!St.isOk())
       return St;
+    // Both start work per compile (live states, pool threads), so both
+    // are capped like any untrusted size.
     if (Out.Beam > 64)
       return Status::error("service", "beam width out of range (max 64)");
+    if (Out.Threads > 64)
+      return Status::error("service", "threads out of range (max 64)");
     bool Inc = false;
     if (O->find("incremental")) {
       if (Status S2 = readBool(*O, "incremental", Inc); !S2.isOk())

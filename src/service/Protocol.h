@@ -11,7 +11,9 @@
 /// (support/Socket.h). This header is transport-agnostic: parsing and
 /// serialization only, shared by the server, the batch client, and the
 /// tests. Requests are untrusted input — parsing goes through
-/// obs::parseJsonLimited and every malformed field is a clean Status.
+/// obs::parseJsonLimited, every malformed field is a clean Status, and the
+/// machine shape, beam width and thread count are checked against caps
+/// before any compile sees them.
 ///
 /// docs/SERVICE.md documents the schemas field by field.
 ///
@@ -36,6 +38,9 @@ struct MachineSpec {
   unsigned IntFus = 2, FltFus = 1, MemFus = 1, Gprs = 8, Fprs = 4;
   unsigned LatInt = 1, LatFlt = 1, LatMem = 1;
   bool Pipelined = false;
+
+  /// MachineModel's shape check on these counts; build() requires ok.
+  Status check() const;
 
   /// Builds the model this spec describes.
   MachineModel build() const;
@@ -81,8 +86,9 @@ struct ServiceRequest {
   std::string Order = "regs"; ///< regs | fus | integrated
   std::string Verify;         ///< "" = URSA_VERIFY default; off|basic|full
   bool GuaranteedFit = false;
-  unsigned TimeBudgetMs = 0;
   unsigned MaxTotalRounds = 0;
+  /// Proposal-evaluation threads inside one compile; capped at 64 by the
+  /// parser, like Beam.
   unsigned Threads = 0;
   int Incremental = -1; ///< -1 = environment default
   /// Beam width for the driver's transformation search; 0 (and an absent
@@ -95,7 +101,9 @@ struct ServiceRequest {
   bool Portfolio = false;
   /// Admission deadline: total milliseconds the request may spend queued
   /// plus compiling before the server gives up on it. 0 = none. The
-  /// remaining deadline at dispatch is folded into TimeBudgetMs.
+  /// compile runs with URSAOptions::Deadline at the enqueue time plus
+  /// this, so it is cancelled, never shortened: the answer is the same
+  /// Ok as without a deadline, or Deadline.
   unsigned DeadlineMs = 0;
   /// Test hook (honored only when the server enables test hooks): stall
   /// every allocation round by this many milliseconds.
@@ -136,7 +144,8 @@ std::string writeRequest(const ServiceRequest &R,
                          std::string_view TraceId = {});
 
 /// Parses an untrusted request document under \p Limits. Fields the
-/// schema does not name are skipped.
+/// schema does not name are skipped, retired ones included (see
+/// docs/SERVICE.md section 3).
 Status parseRequest(std::string_view Doc, ServiceRequest &Out,
                     const obs::JsonParseLimits &Limits = {});
 

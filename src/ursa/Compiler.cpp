@@ -45,6 +45,10 @@ URSACompileResult ursa::compileURSA(const Trace &T, const MachineModel &M,
   R.BudgetExhausted = Alloc.BudgetExhausted;
   R.FallbackUsed = Alloc.FallbackUsed;
   R.Diags = std::move(Alloc.Diags);
+  if (runWasCancelled(Alloc.StopReasons)) {
+    R.Compile.Error = "deadline passed; compilation cancelled";
+    return R; // a cancelled run has no allocation to schedule
+  }
   if (Alloc.VerifyFailed) {
     R.Compile.Error = "allocation verification failed";
     for (const Diag &Dg : R.Diags)

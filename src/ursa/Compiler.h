@@ -60,13 +60,16 @@ struct URSACompileResult {
 /// Runs the full URSA pipeline on \p T for machine \p M. With
 /// URSAOptions::Verify above None the input trace is gated before the DAG
 /// is built and every phase boundary is checked; violations surface as
-/// Compile.Ok == false plus Diags instead of assertion failures.
+/// Compile.Ok == false plus Diags instead of assertion failures. A run
+/// that URSAOptions::Deadline cancels also returns Compile.Ok == false,
+/// with no program and the "deadline" stop reason.
 URSACompileResult compileURSA(const Trace &T, const MachineModel &M,
                               const URSAOptions &Opts = {});
 
 /// Fallible entry point: like compileURSA but with verification forced to
 /// at least Basic, returning a Status (never crashing) when the input is
-/// malformed, an invariant breaks mid-pipeline, or emission fails.
+/// malformed, an invariant breaks mid-pipeline, emission fails, or the
+/// deadline cancels the run.
 StatusOr<URSACompileResult> compileURSAChecked(const Trace &T,
                                                const MachineModel &M,
                                                const URSAOptions &Opts = {});

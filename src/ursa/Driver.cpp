@@ -37,8 +37,8 @@ URSA_STAT(StatStopMaxRounds, "ursa.driver.stop.max_rounds",
           "phases cut off by the MaxRounds safety valve");
 URSA_STAT(StatStopMaxTotal, "ursa.driver.stop.max_total_rounds",
           "runs cut off by the MaxTotalRounds safety valve");
-URSA_STAT(StatStopTimeBudget, "ursa.driver.stop.time_budget",
-          "runs cut off by the TimeBudgetMs safety valve");
+URSA_STAT(StatStopDeadline, "ursa.driver.stop.deadline",
+          "runs cancelled because URSAOptions::Deadline passed");
 URSA_STAT(StatStopLivelock, "ursa.driver.stop.livelock",
           "runs stopped by livelock detection");
 URSA_STAT(StatKeptFUSeq, "ursa.transforms.kept.fu_seq",
@@ -288,6 +288,25 @@ static void guaranteedFitFallback(URSAResult &R, const MachineModel &M,
   }
 }
 
+/// True once \p Opts' deadline has passed.
+static bool deadlinePassed(const URSAOptions &Opts) {
+  return Opts.Deadline && std::chrono::steady_clock::now() >= *Opts.Deadline;
+}
+
+/// Records a deadline cancellation on \p R: the stop reason, its counter
+/// and an error diagnostic. The caller returns \p R without finishing it.
+static void cancel(URSAResult &R) {
+  StatStopDeadline.add();
+  R.StopReasons.push_back("deadline");
+  R.Diags.push_back(
+      {Severity::Error, "allocate", "deadline passed; allocation cancelled"});
+}
+
+bool ursa::runWasCancelled(const std::vector<std::string> &StopReasons) {
+  return std::find(StopReasons.begin(), StopReasons.end(), "deadline") !=
+         StopReasons.end();
+}
+
 namespace {
 
 /// One live state of the search: a DAG with its measured state plus the
@@ -416,20 +435,7 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
     return *E.S;
   };
 
-  auto StartTime = std::chrono::steady_clock::now();
   unsigned Steps = 0; // rounds that admitted a successor
-  enum class BudgetTrip { None, TotalRounds, Time };
-  auto BudgetExceeded = [&]() {
-    if (Steps >= Opts.MaxTotalRounds)
-      return BudgetTrip::TotalRounds;
-    if (Opts.TimeBudgetMs == 0)
-      return BudgetTrip::None;
-    auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                  std::chrono::steady_clock::now() - StartTime)
-                  .count();
-    return Ms >= long(Opts.TimeBudgetMs) ? BudgetTrip::Time
-                                         : BudgetTrip::None;
-  };
 
   std::vector<std::pair<bool, bool>> Phases; // (regs?, fus?)
   switch (Opts.Order) {
@@ -459,9 +465,10 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
   // phase's work and vice versa, so the phase list repeats until a whole
   // pass applies nothing (or the excess is gone). Bail stops transforming
   // — on a verification failure the DAG is corrupt and only diagnostics
-  // come back; on budget exhaustion or livelock the best (sound) state
+  // come back; on a passed deadline the run is cancelled and returns
+  // unfinished; on budget exhaustion or livelock the best (sound) state
   // proceeds to accounting and, optionally, the guaranteed-fit fallback.
-  bool Bail = false;
+  bool Bail = false, Cancelled = false;
   unsigned StaleSweeps = 0;
   for (unsigned Sweep = 0; Sweep != 4 && !Bail; ++Sweep) {
     StatSweeps.add();
@@ -509,18 +516,17 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
           HitRoundCap = true;
           break;
         }
-        if (BudgetTrip Trip = BudgetExceeded(); Trip != BudgetTrip::None) {
+        if (Steps >= Opts.MaxTotalRounds) {
           R.BudgetExhausted = true;
-          if (Trip == BudgetTrip::TotalRounds) {
-            AddStop("max_total_rounds", StatStopMaxTotal);
-            AddDiag(Severity::Warning, "MaxTotalRounds budget exhausted; "
-                                       "leaving residual excess");
-          } else {
-            AddStop("time_budget", StatStopTimeBudget);
-            AddDiag(Severity::Warning, "TimeBudgetMs budget exhausted; "
-                                       "leaving residual excess");
-          }
+          AddStop("max_total_rounds", StatStopMaxTotal);
+          AddDiag(Severity::Warning, "MaxTotalRounds budget exhausted; "
+                                     "leaving residual excess");
           Bail = true;
+          break;
+        }
+        if (deadlinePassed(Opts)) {
+          cancel(R);
+          Bail = Cancelled = true;
           break;
         }
         URSA_SPAN(RoundSpan, "ursa.beam.round", "driver");
@@ -932,8 +938,9 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
   R.SpillsInserted = W.SpillsInserted;
   R.RoundLog = std::move(W.RoundLog);
 
-  // A corrupt DAG supports no further measurement — return what we know.
-  if (R.VerifyFailed)
+  // A corrupt DAG supports no further measurement — return what we know;
+  // a cancelled run does no further work.
+  if (R.VerifyFailed || Cancelled)
     return R;
 
   if (Opts.GuaranteedFit) {
@@ -961,9 +968,9 @@ static URSAResult runDriver(DependenceDAG D, const MachineModel &M,
 /// integrated — plus two seeded tie-break perturbations of the configured
 /// order, all sharing one measurement cache, and keep the best final
 /// allocation. Racers run sequentially in config order, so the whole
-/// portfolio is deterministic and each racer warms the next one's cache;
-/// TimeBudgetMs bounds the portfolio as a whole (a drained budget keeps
-/// the incumbent instead of starting another racer).
+/// portfolio is deterministic and each racer warms the next one's cache.
+/// A deadline that passes before or during any racer cancels the whole
+/// portfolio: keeping the incumbent would change the answer.
 static URSAResult runPortfolio(DependenceDAG D, const MachineModel &M,
                                const URSAOptions &Opts, unsigned K) {
   URSA_SPAN(PortSpan, "ursa.portfolio", "driver");
@@ -984,16 +991,6 @@ static URSAResult runPortfolio(DependenceDAG D, const MachineModel &M,
       {PhaseOrdering::Integrated, 0},
       {Opts.Order, S1},
       {Opts.Order, S2},
-  };
-
-  auto StartTime = std::chrono::steady_clock::now();
-  auto RemainingMs = [&]() -> long {
-    if (Opts.TimeBudgetMs == 0)
-      return -1; // unlimited
-    auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                  std::chrono::steady_clock::now() - StartTime)
-                  .count();
-    return long(Opts.TimeBudgetMs) - long(Ms);
   };
 
   const std::vector<std::pair<ResourceId, unsigned>> Limits =
@@ -1035,18 +1032,20 @@ static URSAResult runPortfolio(DependenceDAG D, const MachineModel &M,
 
   std::unique_ptr<URSAResult> BestR;
   for (const Racer &Rc : Racers) {
-    long Left = RemainingMs();
-    if (BestR && Opts.TimeBudgetMs && Left <= 0)
-      break; // budget drained; keep the incumbent
+    if (deadlinePassed(Opts)) {
+      URSAResult Cut(std::move(D));
+      cancel(Cut);
+      return Cut;
+    }
     URSAOptions RO = Opts;
     RO.Portfolio = false;
     RO.Order = Rc.Order;
     RO.TieBreakSeed = Rc.Seed;
     RO.SharedCache = &Cache;
-    if (Opts.TimeBudgetMs)
-      RO.TimeBudgetMs = unsigned(std::max<long>(1, Left));
     DependenceDAG DC = D; // every racer starts from the pristine input
     URSAResult Ri = runDriver(std::move(DC), M, RO, K);
+    if (runWasCancelled(Ri.StopReasons))
+      return Ri;
     StatPortfolioRuns.add();
     if (!BestR) {
       BestR = std::make_unique<URSAResult>(std::move(Ri));

@@ -27,6 +27,8 @@
 #include "ursa/PipelineVerifier.h"
 #include "ursa/Transforms.h"
 
+#include <chrono>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,7 +111,7 @@ struct URSAOptions {
   /// perturbations of the configured order, all sharing one measurement
   /// cache, and keep the best final allocation (fewest total required
   /// resources, then critical path). Each instance runs the configured
-  /// BeamWidth. TimeBudgetMs bounds the whole portfolio, not each racer.
+  /// BeamWidth.
   bool Portfolio = false;
   /// Deterministic tie-break perturbation: when non-zero, each round's
   /// proposal list is shuffled by this seed (mixed with the round
@@ -134,9 +136,14 @@ struct URSAOptions {
   /// exceeds the worst legitimate case (sweeps * phases * MaxRounds), so
   /// it only fires on livelocked or faulty runs.
   unsigned MaxTotalRounds = 2048;
-  /// Wall-clock budget in milliseconds; 0 = unlimited. When exceeded the
-  /// driver stops transforming and (with GuaranteedFit) falls back.
-  unsigned TimeBudgetMs = 0;
+  /// Cancellation point on the steady clock; none by default. The driver
+  /// checks it at every round start and before every portfolio racer.
+  /// Once it has passed the run is cancelled: it stops with stop reason
+  /// "deadline", skips the guaranteed-fit fallback and carries no
+  /// allocation, so compileURSA returns no program. A deadline can take
+  /// an answer away but never change one: a run that finishes before its
+  /// deadline is bit-identical to a run without one.
+  std::optional<std::chrono::steady_clock::time_point> Deadline;
   /// Phase-boundary verification level (see ursa/PipelineVerifier.h).
   /// Defaults from the URSA_VERIFY environment variable.
   VerifyLevel Verify = defaultVerifyLevel();
@@ -197,11 +204,12 @@ struct URSAResult {
   /// collected; bounded by MaxTotalRounds).
   std::vector<RoundRecord> RoundLog;
   /// Why the reduction loop stopped before removing all excess, when it
-  /// did: "max_rounds", "max_total_rounds", "time_budget", "livelock",
-  /// "verify_failed" — deduplicated, in first-trip order. Empty when the
-  /// loop converged (no excess left or no applicable transforms). Both
-  /// report formats surface these; the matching ursa.driver.stop.*
-  /// counters trend them across runs.
+  /// did: "max_rounds", "max_total_rounds", "livelock", "verify_failed",
+  /// "deadline" — deduplicated, in first-trip order. Empty when the loop
+  /// converged (no excess left or no applicable transforms). Both report
+  /// formats surface these; the matching ursa.driver.stop.* counters
+  /// trend them across runs. "deadline" means the run was cancelled
+  /// (runWasCancelled) and its accounting below is incomplete.
   std::vector<std::string> StopReasons;
 
   /// Closure representation the final analysis used ("dense" or
@@ -227,6 +235,10 @@ struct URSAResult {
 /// Runs URSA's measurement + reduction phases on \p D for machine \p M.
 URSAResult runURSA(DependenceDAG D, const MachineModel &M,
                    const URSAOptions &Opts = {});
+
+/// True when \p StopReasons (URSAResult::StopReasons) record a run that
+/// URSAOptions::Deadline cancelled.
+bool runWasCancelled(const std::vector<std::string> &StopReasons);
 
 } // namespace ursa
 

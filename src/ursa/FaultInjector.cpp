@@ -15,8 +15,8 @@ using namespace ursa;
 bool FaultInjector::maybeInjectDAG(DependenceDAG &D, unsigned Round) {
   if (Kind == FaultKind::StallRound) {
     // Persistent, non-corrupting: every applied round from the armed one
-    // on costs StallMs of wall clock, so a short TimeBudgetMs (or a
-    // service deadline mapped onto it) trips deterministically.
+    // on costs StallMs of wall clock, so a short URSAOptions::Deadline (or
+    // a service deadline mapped onto it) passes deterministically.
     if (Round < FireAt)
       return false;
     Fired = true;

@@ -17,9 +17,11 @@
 ///                     the DAG is unchanged (livelock seed);
 ///  * StallRound     — delays every applied round by a fixed wall-clock
 ///                     amount without corrupting anything, modelling a
-///                     pathologically slow compile so budget and
-///                     service-deadline paths can be tested
-///                     deterministically.
+///                     pathologically slow compile: the deadline
+///                     cancellation (URSAOptions::Deadline, the service's
+///                     deadline_ms) can be tested deterministically, and
+///                     a stalled run must produce exactly what an
+///                     unstalled one does.
 ///
 /// An injector is armed with one fault kind and a firing round and handed
 /// to the driver via URSAOptions::Faults; the static corrupt* helpers

@@ -20,12 +20,16 @@
 // ablations, the guardrails and portfolio mode, at two tie-break seeds.
 // It is checked in slices at 1 and 4 evaluation threads; the `verify`
 // label reruns it under URSA_VERIFY=full. Results must not depend on the
-// thread count, URSA_INCREMENTAL or the verification level.
+// thread count, URSA_INCREMENTAL or the verification level. The
+// `default` runs are checked once more with every admitted round stalled
+// by 1 ms, a deterministic stand-in for a machine slowed by other load:
+// results must not depend on the clock either.
 //
 //===----------------------------------------------------------------------===//
 
 #include "graph/DAGBuilder.h"
 #include "ursa/Driver.h"
+#include "ursa/FaultInjector.h"
 #include "workload/Generators.h"
 #include "workload/Kernels.h"
 
@@ -214,3 +218,31 @@ INSTANTIATE_TEST_SUITE_P(
       return "t" + std::to_string(std::get<0>(Info.param)) + "_s" +
              std::to_string(std::get<1>(Info.param));
     });
+
+/// The stalled check runs the 168 `default` runs in this many slices.
+constexpr unsigned NumStalledSlices = 4;
+
+class DriverGoldenStalled : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(DriverGoldenStalled, DefaultRunsIgnoreTheClock) {
+  static const std::map<std::string, std::string> Golden = readGolden();
+  static const std::vector<Input> In = goldenInputs();
+  std::vector<GoldenRun> Runs;
+  for (GoldenRun &G : goldenRuns(In))
+    if (G.Name.rfind("default/", 0) == 0)
+      Runs.push_back(std::move(G));
+  ASSERT_EQ(Runs.size(), 168u);
+  for (size_t I = GetParam(); I < Runs.size(); I += NumStalledSlices) {
+    GoldenRun &G = Runs[I];
+    FaultInjector Stall(FaultKind::StallRound);
+    Stall.withStallMs(1);
+    G.Opts.Faults = &Stall;
+    auto It = Golden.find(G.Name);
+    ASSERT_NE(It, Golden.end()) << G.Name << " missing from the golden file";
+    EXPECT_EQ(goldenLine(runURSA(*G.DAG, G.M, G.Opts)), It->second)
+        << G.Name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Slices, DriverGoldenStalled,
+                         ::testing::Range(0u, NumStalledSlices));

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "graph/DAGBuilder.h"
+#include "ursa/Compiler.h"
 #include "ursa/Driver.h"
 #include "workload/Generators.h"
 #include "workload/Kernels.h"
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 using namespace ursa;
 
@@ -69,17 +71,37 @@ TEST(DriverOptions, MaxRoundsTripIsRecorded) {
   EXPECT_TRUE(Diagnosed);
 }
 
-TEST(DriverOptions, TimeBudgetTripIsRecorded) {
+TEST(DriverOptions, PassedDeadlineCancelsTheRun) {
+  // A deadline that has already passed cancels the run at its first
+  // check: stop reason "deadline", no fallback (even with GuaranteedFit),
+  // and no program from either compile entry point.
   MachineModel M = MachineModel::homogeneous(2, 3);
-  URSAOptions UO;
-  UO.TimeBudgetMs = 1;
-  // A zero-length budget cannot be met; the driver must say so rather
-  // than stop quietly. Spin until the first budget check fires.
-  URSAResult R = runURSA(buildDAG(figure2Trace()), M, UO);
-  if (R.BudgetExhausted) {
-    EXPECT_NE(std::find(R.StopReasons.begin(), R.StopReasons.end(),
-                        "time_budget"),
-              R.StopReasons.end());
+  for (bool Portfolio : {false, true}) {
+    URSAOptions UO;
+    UO.GuaranteedFit = true;
+    UO.Portfolio = Portfolio;
+    UO.Deadline = std::chrono::steady_clock::now();
+    URSAResult R = runURSA(buildDAG(figure2Trace()), M, UO);
+    EXPECT_EQ(R.StopReasons, std::vector<std::string>{"deadline"})
+        << Portfolio;
+    EXPECT_TRUE(runWasCancelled(R.StopReasons));
+    EXPECT_FALSE(R.FallbackUsed);
+    EXPECT_FALSE(R.WithinLimits);
+    EXPECT_EQ(R.Rounds, 0u);
+
+    URSACompileResult C = compileURSA(figure2Trace(), M, UO);
+    EXPECT_FALSE(C.Compile.Ok);
+    EXPECT_FALSE(C.Compile.Prog.has_value());
+    EXPECT_FALSE(C.FallbackUsed);
+    EXPECT_EQ(C.AllocStopReasons, std::vector<std::string>{"deadline"});
+    EXPECT_NE(C.Compile.Error.find("deadline"), std::string::npos)
+        << C.Compile.Error;
+
+    StatusOr<URSACompileResult> Checked =
+        compileURSAChecked(figure2Trace(), M, UO);
+    ASSERT_FALSE(Checked.isOk());
+    EXPECT_NE(Checked.status().str().find("deadline"), std::string::npos)
+        << Checked.status().str();
   }
 }
 

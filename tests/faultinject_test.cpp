@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 using namespace ursa;
 
 namespace {
@@ -205,12 +207,31 @@ TEST(Guardrails, FallbackOutputStillComputesTheRightAnswer) {
   }
 }
 
-TEST(Guardrails, TimeBudgetZeroMeansUnlimited) {
-  URSAOptions Opts;
-  Opts.TimeBudgetMs = 0;
-  URSAResult R = runURSA(buildDAG(figure2Trace()), TightM, Opts);
-  EXPECT_FALSE(R.BudgetExhausted);
-  EXPECT_TRUE(R.WithinLimits);
+TEST(Guardrails, FarDeadlineChangesNothing) {
+  // A deadline only cancels: a run that finishes before it compiles to
+  // exactly what a run without one does, at every width and in the
+  // portfolio.
+  for (unsigned Mode = 0; Mode != 3; ++Mode) {
+    URSAOptions Plain;
+    Plain.GuaranteedFit = true;
+    Plain.BeamWidth = Mode == 1 ? 2 : 1;
+    Plain.Portfolio = Mode == 2;
+    URSAOptions Timed = Plain;
+    Timed.Deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+    for (auto &[Name, T] : kernelSuite()) {
+      if (Name != "figure2" && Name != "dot8" && Name != "scan12")
+        continue;
+      URSACompileResult A = compileURSA(T, TightM, Plain);
+      URSACompileResult B = compileURSA(T, TightM, Timed);
+      ASSERT_TRUE(A.Compile.Ok) << Name << ": " << A.Compile.Error;
+      ASSERT_TRUE(B.Compile.Ok) << Name << ": " << B.Compile.Error;
+      EXPECT_EQ(A.Compile.Prog->str(), B.Compile.Prog->str()) << Name;
+      EXPECT_EQ(A.AllocRounds, B.AllocRounds) << Name;
+      EXPECT_EQ(A.FinalRequired, B.FinalRequired) << Name;
+      EXPECT_EQ(A.AllocStopReasons, B.AllocStopReasons) << Name;
+      EXPECT_EQ(A.FallbackUsed, B.FallbackUsed) << Name;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

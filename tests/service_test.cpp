@@ -128,7 +128,6 @@ TEST(ServiceProtocol, RequestRoundTrips) {
   R.Order = "integrated";
   R.Verify = "full";
   R.GuaranteedFit = true;
-  R.TimeBudgetMs = 1234;
   R.Threads = 2;
   R.Incremental = 0;
   R.Beam = 4;
@@ -151,7 +150,6 @@ TEST(ServiceProtocol, RequestRoundTrips) {
   EXPECT_EQ(P.Order, "integrated");
   EXPECT_EQ(P.Verify, "full");
   EXPECT_TRUE(P.GuaranteedFit);
-  EXPECT_EQ(P.TimeBudgetMs, 1234u);
   EXPECT_EQ(P.Threads, 2u);
   EXPECT_EQ(P.Incremental, 0);
   EXPECT_EQ(P.Beam, 4u);
@@ -264,6 +262,11 @@ TEST(ServiceProtocol, MalformedRequestsAreCleanErrors) {
   // Unknown enum values.
   Fails("{\"schema\":\"ursa.service_request.v1\",\"op\":\"compile\","
         "\"source\":\"a = load x\",\"options\":{\"order\":\"sideways\"}}");
+  // Fractions are not integers.
+  Status Frac =
+      Fails("{\"schema\":\"ursa.service_request.v1\",\"op\":\"compile\","
+            "\"source\":\"a = load x\",\"options\":{\"beam\":2.5}}");
+  EXPECT_NE(Frac.str().find("integer"), std::string::npos) << Frac.str();
 
   // Parse limits apply: over-deep and over-large documents.
   obs::JsonParseLimits L;
@@ -285,6 +288,58 @@ TEST(ServiceProtocol, MalformedRequestsAreCleanErrors) {
 //===----------------------------------------------------------------------===//
 // In-process service lifecycle
 //===----------------------------------------------------------------------===//
+
+TEST(ServiceProtocol, MachineShapeAndThreadsAreChecked) {
+  // Every machine MachineModel would assert on is a clean parse error,
+  // and so are sizes above its caps and more than 64 threads. Parsing
+  // only: nothing here builds a machine or starts a thread.
+  auto Parse = [](const std::string &Machine, const std::string &Options) {
+    ServiceRequest R;
+    return parseRequest("{\"schema\":\"ursa.service_request.v1\","
+                        "\"op\":\"compile\",\"source\":\"a = load x\","
+                        "\"machine\":" +
+                            Machine + ",\"options\":" + Options + "}",
+                        R);
+  };
+  for (const char *Bad :
+       {"{\"int_fus\":0,\"float_fus\":1,\"mem_fus\":1,\"gprs\":8,"
+        "\"fprs\":4}",
+        "{\"int_fus\":1,\"float_fus\":1,\"mem_fus\":0,\"gprs\":8,"
+        "\"fprs\":4}",
+        "{\"int_fus\":1,\"float_fus\":1,\"mem_fus\":1,\"gprs\":0,"
+        "\"fprs\":4}",
+        "{\"fus\":0,\"regs\":4}", "{\"fus\":4,\"regs\":0}",
+        "{\"fus\":4000000000,\"regs\":8}", "{\"fus\":4,\"regs\":4000000}",
+        "{\"int_fus\":1,\"float_fus\":100000,\"mem_fus\":1,\"gprs\":8,"
+        "\"fprs\":4}"}) {
+    Status St = Parse(Bad, "{}");
+    EXPECT_FALSE(St.isOk()) << Bad;
+    EXPECT_NE(St.str().find("machine"), std::string::npos) << St.str();
+  }
+  // Float units and FPRs may be zero; the caps themselves are accepted.
+  EXPECT_TRUE(Parse("{\"int_fus\":1,\"float_fus\":0,\"mem_fus\":1,"
+                    "\"gprs\":8,\"fprs\":0}",
+                    "{}")
+                  .isOk());
+  EXPECT_TRUE(Parse("{\"fus\":" + std::to_string(MachineModel::MaxFUsPerClass) +
+                        ",\"regs\":" +
+                        std::to_string(MachineModel::MaxRegsPerClass) + "}",
+                    "{}")
+                  .isOk());
+
+  // A persisted cache image names its machine by key; a key for a
+  // machine build() would assert on is not a machine.
+  MachineSpec FromDisk;
+  EXPECT_TRUE(MachineSpec::fromKey("h2x4/l1,1,1/p0", FromDisk));
+  EXPECT_FALSE(MachineSpec::fromKey("h0x4/l1,1,1/p0", FromDisk));
+  EXPECT_FALSE(MachineSpec::fromKey("c0,1,1,8,4/l1,1,1/p0", FromDisk));
+
+  Status Threads = Parse("{\"fus\":2,\"regs\":4}", "{\"threads\":65}");
+  EXPECT_FALSE(Threads.isOk());
+  EXPECT_NE(Threads.str().find("threads"), std::string::npos)
+      << Threads.str();
+  EXPECT_TRUE(Parse("{\"fus\":2,\"regs\":4}", "{\"threads\":64}").isOk());
+}
 
 TEST(ServiceProtocol, NastyIdsRoundTripTheWireFormat) {
   // Caller-chosen ids and trace ids with control characters and
@@ -345,30 +400,43 @@ TEST(CompileServiceTest, CompilesAndMatchesDirectPath) {
 }
 
 TEST(CompileServiceTest, RetiredFleetFieldsChangeNothing) {
-  // A request's "client" field is skipped like any unknown field: the
-  // compile answers with the same text as the same request without it.
+  // A request's retired "client" field and its retired
+  // "options":{"time_budget_ms"} are skipped like any unknown field: the
+  // compile answers with the same text as the same request without them.
   std::string Wire = writeRequest(compileRequest("plain", genSource(3)));
   ASSERT_EQ(Wire.front(), '{');
   std::string Tagged = "{\"client\":\"x\"," + Wire.substr(1);
-  ServiceRequest Plain, WithClient;
+  size_t Opts = Wire.find("\"options\":{");
+  ASSERT_NE(Opts, std::string::npos);
+  std::string Budgeted = Wire;
+  Budgeted.insert(Opts + 11, "\"time_budget_ms\":1,");
+  ServiceRequest Plain, WithClient, WithBudget;
   ASSERT_TRUE(parseRequest(Wire, Plain).isOk());
   Status St = parseRequest(Tagged, WithClient);
   ASSERT_TRUE(St.isOk()) << St.str();
   WithClient.Id = "client";
+  St = parseRequest(Budgeted, WithBudget);
+  ASSERT_TRUE(St.isOk()) << St.str();
+  WithBudget.Id = "budget";
 
   ServiceConfig Cfg;
   CompileService Svc(Cfg);
   Collector Col;
   Svc.handle(Plain, Col.sink());
   Svc.handle(WithClient, Col.sink());
-  ASSERT_EQ(Col.waitFor(2).size(), 2u);
+  Svc.handle(WithBudget, Col.sink());
+  ASSERT_EQ(Col.waitFor(3).size(), 3u);
   const ServiceResponse *A = Col.byId("plain");
   const ServiceResponse *B = Col.byId("client");
+  const ServiceResponse *C = Col.byId("budget");
   ASSERT_NE(A, nullptr);
   ASSERT_NE(B, nullptr);
+  ASSERT_NE(C, nullptr);
   ASSERT_EQ(A->Status, ServiceResponse::StatusKind::Ok) << A->Error;
   ASSERT_EQ(B->Status, ServiceResponse::StatusKind::Ok) << B->Error;
+  ASSERT_EQ(C->Status, ServiceResponse::StatusKind::Ok) << C->Error;
   EXPECT_EQ(B->Text, A->Text);
+  EXPECT_EQ(C->Text, A->Text);
 
   // A response that names a backend and the retired busy_retry_later
   // status reads as a plain error.
@@ -538,9 +606,9 @@ TEST(CompileServiceTest, DeadlineExpiresInQueue) {
 }
 
 TEST(CompileServiceTest, DeadlineBoundsTheCompileItself) {
-  // The remaining deadline is folded into the driver's TimeBudgetMs, so a
-  // compile whose rounds are stalled past the deadline stops early and is
-  // answered Deadline instead of running to completion.
+  // The deadline reaches the driver as URSAOptions::Deadline, so a
+  // compile whose rounds are stalled past it is cancelled and answered
+  // Deadline instead of running to completion.
   ServiceConfig Cfg;
   Cfg.Workers = 1;
   Cfg.EnableTestHooks = true;
@@ -595,6 +663,63 @@ TEST(CompileServiceTest, StallHookStallsTheBeam) {
   uint64_t Admitted = Stat("ursa.driver.rounds") - Admitted0;
   EXPECT_GT(Rounds, 0u);
   EXPECT_GT(Admitted, Rounds) << "the stalled compile did not run the beam";
+}
+
+TEST(CompileServiceTest, StalledPortfolioIsAnsweredDeadline) {
+  // A portfolio request stalled past its deadline is cancelled, not
+  // answered with whichever racer finished first.
+  ServiceConfig Cfg;
+  Cfg.Workers = 1;
+  Cfg.EnableTestHooks = true;
+  CompileService Svc(Cfg);
+  Collector Col;
+
+  ServiceRequest R = compileRequest("port", genSource(1, 40, 12), 2, 2);
+  R.Portfolio = true;
+  R.StallMs = 50;
+  R.DeadlineMs = 10;
+  Svc.handle(R, Col.sink());
+
+  auto Got = Col.waitFor(1);
+  ASSERT_EQ(Got.size(), 1u);
+  EXPECT_EQ(Got[0].Status, ServiceResponse::StatusKind::Deadline)
+      << Got[0].Error;
+  EXPECT_NE(Got[0].Error.find("during compilation"), std::string::npos)
+      << Got[0].Error;
+  EXPECT_EQ(Svc.counters().DeadlineExpired, 1u);
+}
+
+TEST(CompileServiceTest, FloatOpWithoutFloatUnitIsAnError) {
+  // A float op on a classed machine with no float unit has nowhere to
+  // issue: the compile answers Error, and the server keeps serving.
+  ServiceConfig Cfg;
+  Cfg.Workers = 1;
+  CompileService Svc(Cfg);
+  Collector Col;
+
+  const std::string Float = "x = load a\nf = cvtif x\ng = fadd f, f\n"
+                            "y = cvtfi g\nstore out, y\n";
+  ServiceRequest Bad = compileRequest("nofloat", Float);
+  Bad.Machine.Classed = true;
+  Bad.Machine.IntFus = 1;
+  Bad.Machine.FltFus = 0;
+  Bad.Machine.MemFus = 1;
+  ServiceRequest Good = Bad;
+  Good.Id = "float";
+  Good.Machine.FltFus = 1;
+  Svc.handle(Bad, Col.sink());
+  Svc.handle(Good, Col.sink());
+
+  ASSERT_EQ(Col.waitFor(2).size(), 2u);
+  const ServiceResponse *B = Col.byId("nofloat");
+  const ServiceResponse *G = Col.byId("float");
+  ASSERT_NE(B, nullptr);
+  ASSERT_NE(G, nullptr);
+  EXPECT_EQ(B->Status, ServiceResponse::StatusKind::Error);
+  EXPECT_NE(B->Error.find("no functional unit"), std::string::npos)
+      << B->Error;
+  EXPECT_EQ(G->Status, ServiceResponse::StatusKind::Ok) << G->Error;
+  EXPECT_EQ(G->Text, directText(Float, Good.Machine));
 }
 
 TEST(CompileServiceTest, ShutdownDrainsAdmittedWork) {
@@ -692,42 +817,43 @@ TEST(DegradeGovernorTest, TiersEnterOnThresholdsWithHysteresis) {
   EXPECT_EQ(G.tier(), 0u);
   EXPECT_EQ(G.lastChangeUs(), 0u);
 
-  // Saturate the EWMA at full occupancy: walks up through every tier.
+  // Saturate the EWMA at full occupancy: tier 1 is the top tier.
   uint64_t Now = 1000;
   for (unsigned I = 0; I != 50; ++I)
     G.update(1.0, Now += 1000);
-  EXPECT_EQ(G.tier(), 3u);
-  EXPECT_GE(G.loadEwma(), DegradeGovernor::UpThreshold[2]);
+  EXPECT_EQ(G.tier(), 1u);
+  EXPECT_GE(G.loadEwma(), DegradeGovernor::UpThreshold);
   EXPECT_EQ(G.entries(1), 1u);
-  EXPECT_EQ(G.entries(2), 1u);
-  EXPECT_EQ(G.entries(3), 1u);
-  EXPECT_EQ(G.transitions(), 3u);
+  EXPECT_EQ(G.entries(2), 0u) << "there is no tier 2";
+  EXPECT_EQ(G.transitions(), 1u);
   uint64_t ChangedAt = G.lastChangeUs();
   EXPECT_GT(ChangedAt, 0u);
 
-  // Hovering just below the tier-3 threshold must NOT leave tier 3:
-  // the EWMA has to fall a full Hysteresis below it first.
-  double JustBelow = DegradeGovernor::UpThreshold[2] - 0.01;
+  // Hovering just below the threshold must NOT leave tier 1: the EWMA
+  // has to fall a full Hysteresis below it first.
+  double JustBelow = DegradeGovernor::UpThreshold - 0.01;
   for (unsigned I = 0; I != 50; ++I)
     G.update(JustBelow, Now += 1000);
-  EXPECT_EQ(G.tier(), 3u) << "flapped without hysteresis";
-  EXPECT_EQ(G.transitions(), 3u);
+  EXPECT_EQ(G.tier(), 1u) << "flapped without hysteresis";
+  EXPECT_EQ(G.transitions(), 1u);
   EXPECT_EQ(G.lastChangeUs(), ChangedAt);
 
-  // Draining the queue walks back down and re-stamps the transition.
+  // Draining the queue steps back down and re-stamps the transition.
   for (unsigned I = 0; I != 200; ++I)
     G.update(0.0, Now += 1000);
   EXPECT_EQ(G.tier(), 0u);
   EXPECT_EQ(G.entries(0), 1u);
-  EXPECT_GT(G.transitions(), 3u);
+  EXPECT_EQ(G.transitions(), 2u);
   EXPECT_GT(G.lastChangeUs(), ChangedAt);
 
-  // Re-entering tier 1 counts another entry (the walk back down above
-  // already passed through it once, so this is the third).
+  // Below the threshold nothing moves; at it, tier 1 is entered again.
+  for (unsigned I = 0; I != 50; ++I)
+    G.update(DegradeGovernor::UpThreshold - 0.05, Now += 1000);
+  EXPECT_EQ(G.tier(), 0u);
   for (unsigned I = 0; I != 50; ++I)
     G.update(0.6, Now += 1000);
   EXPECT_EQ(G.tier(), 1u);
-  EXPECT_EQ(G.entries(1), 3u);
+  EXPECT_EQ(G.entries(1), 2u);
 }
 
 TEST(DegradeGovernorTest, DisabledGovernorNeverMoves) {
@@ -772,7 +898,7 @@ TEST(CompileServiceTest, StatsDocumentCountsEveryRequest) {
   ASSERT_NE(Deg, nullptr);
   EXPECT_EQ(Deg->find("tier")->Num, 0);
   ASSERT_TRUE(Deg->find("tier_entries")->isArray());
-  EXPECT_EQ(Deg->find("tier_entries")->Arr.size(), 4u);
+  EXPECT_EQ(Deg->find("tier_entries")->Arr.size(), 2u);
 
   // The e2e latency histogram saw exactly this test's compiles.
   const obs::JsonValue *Hs = V.find("histograms");
